@@ -13,7 +13,6 @@ dropped (``closed``) or recorded (``with_frontier``).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .normal_forms import enumerate_normal_forms
@@ -56,6 +55,10 @@ class UnlabelledDigraph:
                 raise ValueError(f"arc ({src}, {dst}) out of range for n={self.n}")
 
 
+def _product(system: RewritingSystem, v: Word, g: str, side: str) -> Word:
+    return normal_form(system, v + g if side == "right" else g + v)
+
+
 def edge_target(system: RewritingSystem, v: Word, g: str, side: str = "right") -> Word:
     """Normal form of ``v.g`` (right) or ``g.v`` (left)."""
     if side not in SIDES:
@@ -66,21 +69,16 @@ def edge_target(system: RewritingSystem, v: Word, g: str, side: str = "right") -
         )
     if not is_irreducible(system, v):
         raise ValueError(f"vertex word {v!r} is not irreducible")
-    return normal_form(system, v + g if side == "right" else g + v)
+    return _product(system, v, g, side)
 
 
 def build_ball(
-    system: RewritingSystem,
-    side: str,
-    radius: int,
-    policy: str = "closed",
-    workers: int = 1,
+    system: RewritingSystem, side: str, radius: int, policy: str = "closed"
 ) -> CayleyBall:
     """Construct the ball of the given radius around the identity.
 
-    Needs a certified system.  ``workers`` > 1 computes the per-vertex
-    targets in a thread pool; results are collected in vertex order, so
-    the ball is identical either way.
+    Needs a certified system.  Edges and frontier targets are listed by
+    source vertex, then by generator in alphabet order.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
@@ -94,22 +92,11 @@ def build_ball(
         )
     vertices = tuple(enumerate_normal_forms(system, radius))
     index = {w: i for i, w in enumerate(vertices)}
-
-    def targets(v: Word) -> list[Word]:
-        if side == "right":
-            return [normal_form(system, v + g) for g in system.alphabet]
-        return [normal_form(system, g + v) for g in system.alphabet]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(targets, vertices))
-    else:
-        rows = [targets(v) for v in vertices]
-
     edges: list[tuple[int, int, str]] = []
     frontier: list[tuple[int, str, Word]] = []
-    for src, row in enumerate(rows):
-        for g, target in zip(system.alphabet, row):
+    for src, v in enumerate(vertices):
+        for g in system.alphabet:
+            target = _product(system, v, g, side)
             if len(target) <= radius:
                 edges.append((src, index[target], g))
             elif policy == "with_frontier":

@@ -1,21 +1,23 @@
 """Command-line interface.
 
 Exit codes: 0 success or property verified, 1 a checked property failed,
-2 usage or presentation errors.  All output is deterministic.  The
-environment variable ``CAYLEYFORGE_THREADS`` caps the worker threads
-used for ball construction (default 1; results do not depend on it).
+2 usage or presentation errors.  All output is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from .cayley import build_ball, export_dot, export_json, strip_labels
-from .confluence import DEFAULT_SCHEMA_BOUND, certify, check_local_confluence
+from .confluence import (
+    DEFAULT_SCHEMA_BOUND,
+    NotConfluentError,
+    certify,
+    check_local_confluence,
+)
 from .isomorphism import (
     find_isomorphism,
     report_json,
@@ -23,7 +25,6 @@ from .isomorphism import (
     verify_explicit_iso,
 )
 from .presentations import (
-    PresentationError,
     load_presentation,
     system_m,
     system_n,
@@ -40,14 +41,6 @@ from .rewriting import (
 EXIT_OK = 0
 EXIT_PROPERTY_FAILED = 1
 EXIT_USAGE = 2
-
-
-def _workers() -> int:
-    raw = os.environ.get("CAYLEYFORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _positive_int(text: str) -> int:
@@ -130,14 +123,14 @@ def cmd_confluence(args: argparse.Namespace) -> int:
 def cmd_ball(args: argparse.Namespace) -> int:
     system = load_presentation(args.presentation)
     if not system.is_certified:
-        report = check_local_confluence(system, args.schema_bound)
-        if not report.passed:
+        try:
+            system = certify(system, args.schema_bound)
+        except NotConfluentError:
             print("system is not locally confluent; refusing to build a ball",
                   file=sys.stderr)
             return EXIT_PROPERTY_FAILED
-        system = certify(system, args.schema_bound)
     policy = args.policy.replace("-", "_")
-    ball = build_ball(system, args.side, args.radius, policy, workers=_workers())
+    ball = build_ball(system, args.side, args.radius, policy)
     if args.format == "dot":
         _emit(export_dot(ball), args.output)
     elif args.format == "json":
@@ -162,9 +155,8 @@ def cmd_ball(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_iso(args: argparse.Namespace) -> int:
-    workers = _workers()
-    ball_m = build_ball(system_m(), "right", args.radius, "closed", workers=workers)
-    ball_n = build_ball(system_n(), "right", args.radius, "closed", workers=workers)
+    ball_m = build_ball(system_m(), "right", args.radius, "closed")
+    ball_n = build_ball(system_n(), "right", args.radius, "closed")
     report = verify_explicit_iso(ball_m, ball_n)
     search = find_isomorphism(strip_labels(ball_m), strip_labels(ball_n))
     ok = report.verified and search.status == "isomorphic"
@@ -308,9 +300,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PresentationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

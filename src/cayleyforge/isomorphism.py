@@ -2,11 +2,11 @@
 
 Two entry points cover the two directions of trust.  ``verify_explicit_iso``
 checks that the structural normal-form bijection between the built-in
-systems maps the right-ball arcs onto each other, arc by arc and in both
-directions.  ``find_isomorphism`` knows nothing about words: it searches
-for any isomorphism between two unlabelled digraphs by iterated
-degree-profile partition refinement plus backtracking, and validates any
-certificate it returns from scratch.
+systems maps the right-ball arcs onto each other: arc by arc forward,
+and by arc count backward.  ``find_isomorphism`` knows nothing about
+words: it searches for any isomorphism between two unlabelled digraphs
+by iterated degree-profile partition refinement plus backtracking, and
+validates any certificate it returns from scratch.
 
 ``separate_left_graphs`` uses both to locate the smallest ball radius at
 which the left Cayley graphs of two systems can be told apart.
@@ -15,8 +15,8 @@ which the left Cayley graphs of two systems can be told apart.
 from __future__ import annotations
 
 import json
-import sys
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .cayley import (
@@ -82,9 +82,14 @@ def verify_explicit_iso(ball_m: CayleyBall, ball_n: CayleyBall) -> IsoReport:
     """Check that the normal-form bijection is a graph isomorphism
     between two closed right balls of equal radius.
 
-    Verifies that the word map restricts to a vertex bijection, that the
-    image of every ball arc is a ball arc, and that the preimage of
-    every ball arc is a ball arc, counting multiplicities.
+    Verifies that the word map restricts to a vertex bijection and that
+    the image of the arc multiset of ``ball_m`` is contained in that of
+    ``ball_n``, counting multiplicities, and that both multisets have
+    the same size.  That settles the backward direction too: the
+    mapping is a bijection, so the image multiset has the size of
+    ``arcs_m``; contained in ``arcs_n`` and of the same size, it equals
+    ``arcs_n``, and so the preimage of ``arcs_n`` is ``arcs_m``.  A
+    size difference is reported as a ``backward`` witness.
     """
     for ball in (ball_m, ball_n):
         if ball.side != "right":
@@ -117,22 +122,17 @@ def verify_explicit_iso(ball_m: CayleyBall, ball_n: CayleyBall) -> IsoReport:
 
     arcs_m = Counter((s, d) for s, d, _ in ball_m.edges)
     arcs_n = Counter((s, d) for s, d, _ in ball_n.edges)
-    arcs_checked = 0
+    total_m, total_n = sum(arcs_m.values()), sum(arcs_n.values())
+    arcs_checked = total_m + total_n
 
     forward = Counter((mapping[s], mapping[d]) for (s, d) in arcs_m.elements())
-    arcs_checked += sum(arcs_m.values())
     for arc, count in sorted(forward.items()):
         if arcs_n[arc] < count:
             return _counterexample("forward", f"image arc {arc} missing", n_vertices)
-
-    inverse = [0] * n_vertices
-    for src, dst in enumerate(mapping):
-        inverse[dst] = src
-    backward = Counter((inverse[s], inverse[d]) for (s, d) in arcs_n.elements())
-    arcs_checked += sum(arcs_n.values())
-    for arc, count in sorted(backward.items()):
-        if arcs_m[arc] < count:
-            return _counterexample("backward", f"preimage arc {arc} missing", n_vertices)
+    if total_m != total_n:
+        return _counterexample(
+            "backward", f"arc counts differ: {total_m} vs {total_n}", n_vertices
+        )
 
     return IsoReport("verified", tuple(mapping), None, arcs_checked, n_vertices)
 
@@ -167,11 +167,10 @@ def report_json(report: IsoReport | SearchResult) -> str:
     return json.dumps(payload, ensure_ascii=False)
 
 
-class _BudgetExhausted(Exception):
-    pass
+Adjacency = tuple[list[Counter], list[Counter]]
 
 
-def _adjacency(g: UnlabelledDigraph) -> tuple[list[Counter], list[Counter]]:
+def _adjacency(g: UnlabelledDigraph) -> Adjacency:
     out: list[Counter] = [Counter() for _ in range(g.n)]
     inc: list[Counter] = [Counter() for _ in range(g.n)]
     for src, dst in g.arcs:
@@ -181,16 +180,18 @@ def _adjacency(g: UnlabelledDigraph) -> tuple[list[Counter], list[Counter]]:
 
 
 def _refine_colors(
-    g1: UnlabelledDigraph, g2: UnlabelledDigraph
+    adjacency1: Adjacency, adjacency2: Adjacency
 ) -> tuple[list[int], list[int], bool]:
-    """Iterated joint degree-profile refinement of both vertex sets.
+    """Iterated joint degree-profile refinement of the vertex sets of two
+    graphs, given as ``(out, in)`` adjacency from :func:`_adjacency`.
 
     Colors are comparable across the two graphs.  Returns the stable
     colorings and whether their histograms agree (a necessary condition
     for isomorphism).
     """
-    out1, in1 = _adjacency(g1)
-    out2, in2 = _adjacency(g2)
+    out1, in1 = adjacency1
+    out2, in2 = adjacency2
+    n1, n2 = len(out1), len(out2)
 
     def initial(out, inc, n):
         return [
@@ -198,8 +199,8 @@ def _refine_colors(
             for v in range(n)
         ]
 
-    raw1 = initial(out1, in1, g1.n)
-    raw2 = initial(out2, in2, g2.n)
+    raw1 = initial(out1, in1, n1)
+    raw2 = initial(out2, in2, n2)
     palette: dict = {}
     colors1 = [palette.setdefault(c, len(palette)) for c in raw1]
     colors2 = [palette.setdefault(c, len(palette)) for c in raw2]
@@ -216,11 +217,11 @@ def _refine_colors(
 
         new1 = [
             palette.setdefault(signature(v, colors1, out1, in1), len(palette))
-            for v in range(g1.n)
+            for v in range(n1)
         ]
         new2 = [
             palette.setdefault(signature(v, colors2, out2, in2), len(palette))
-            for v in range(g2.n)
+            for v in range(n2)
         ]
         if new1 == colors1 and new2 == colors2:
             break
@@ -236,20 +237,22 @@ def find_isomorphism(
     Backtracking over refinement classes: a vertex may only map to a
     vertex of the same stable color, every tried candidate pair costs
     one expansion, and the search stops indeterminately once ``budget``
-    expansions are spent.  A returned certificate has been re-validated
-    arc by arc.  Deterministic: the lowest-index certificate is found
-    first.
+    expansions are spent (the result then reports ``budget + 1``).  The
+    backtracking runs on an explicit stack with one frame per vertex on
+    the search path, so its depth is bounded by memory, not by the
+    interpreter's recursion limit.  A returned certificate has been re-validated arc
+    by arc.  Deterministic: the lowest-index certificate is found first.
     """
     if g1.n != g2.n or len(g1.arcs) != len(g2.arcs):
         return SearchResult("non_isomorphic", None, 0)
     if g1.n == 0:
         return SearchResult("isomorphic", IsoCertificate(()), 0)
-    colors1, colors2, compatible = _refine_colors(g1, g2)
+    out1, in1 = adjacency1 = _adjacency(g1)
+    out2, in2 = adjacency2 = _adjacency(g2)
+    colors1, colors2, compatible = _refine_colors(adjacency1, adjacency2)
     if not compatible:
         return SearchResult("non_isomorphic", None, 0)
 
-    out1, in1 = _adjacency(g1)
-    out2, in2 = _adjacency(g2)
     n = g1.n
     class_size = Counter(colors1)
     candidates_by_color: dict[int, list[int]] = {}
@@ -296,37 +299,37 @@ def find_isomorphism(
                 return False
         return True
 
-    def extend(assigned: int) -> bool:
-        nonlocal expansions
-        if assigned == n:
-            return True
+    def frame() -> tuple[int, Iterator[int]]:
         v1 = pick_next()
-        for v2 in candidates_by_color.get(colors1[v1], ()):
+        return v1, iter(candidates_by_color.get(colors1[v1], ()))
+
+    # Each frame holds a vertex of g1 and its untried candidates in g2.
+    # A frame is re-entered either fresh or after its child frame ran out
+    # of candidates; in the latter case its vertex's assignment is undone.
+    stack = [frame()]
+    while stack:
+        v1, untried = stack[-1]
+        if mapping[v1] != -1:
+            inverse[mapping[v1]] = -1
+            mapping[v1] = -1
+        for v2 in untried:
             if inverse[v2] != -1:
                 continue
             expansions += 1
             if expansions > budget:
-                raise _BudgetExhausted
-            if not consistent(v1, v2):
-                continue
-            mapping[v1] = v2
-            inverse[v2] = v1
-            if extend(assigned + 1):
-                return True
-            mapping[v1] = -1
-            inverse[v2] = -1
-        return False
+                return SearchResult("budget_exhausted", None, expansions)
+            if consistent(v1, v2):
+                mapping[v1] = v2
+                inverse[v2] = v1
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) == n:
+            break
+        stack.append(frame())
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * n + 100))
-    try:
-        found = extend(0)
-    except _BudgetExhausted:
-        return SearchResult("budget_exhausted", None, expansions)
-    finally:
-        sys.setrecursionlimit(old_limit)
-
-    if not found:
+    if not stack:
         return SearchResult("non_isomorphic", None, expansions)
     certificate = IsoCertificate(tuple(mapping))
     defect = validate_certificate(g1, g2, certificate.mapping)

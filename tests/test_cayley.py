@@ -98,13 +98,6 @@ def test_distance_equals_length(sys_m, sys_n):
             assert dist[i] == len(word)
 
 
-def test_workers_do_not_change_the_ball(sys_n):
-    sequential = build_ball(sys_n, "right", 6, "with_frontier", workers=1)
-    threaded = build_ball(sys_n, "right", 6, "with_frontier", workers=4)
-    assert sequential == threaded
-    assert export_json(sequential) == export_json(threaded)
-
-
 def test_build_is_deterministic(sys_m):
     first = build_ball(sys_m, "left", 6, "with_frontier")
     second = build_ball(sys_m, "left", 6, "with_frontier")

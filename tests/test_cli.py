@@ -7,6 +7,12 @@ import pytest
 from cayleyforge.cli import main
 
 NON_CONFLUENT = "alphabet a b\nrule a b -> a\nrule b a -> b\n"
+N_RULES = """alphabet c d
+rule c d d c -> c d c
+rule c d d d d -> c d c
+rule c d d d c c -> c d c
+rule c d d d c d c -> c d c
+"""
 
 
 def run(capsys, *argv):
@@ -122,6 +128,19 @@ def test_ball_from_presentation_file_is_certified_first(capsys, tmp_path):
     assert "not locally confluent" in err
 
 
+def test_ball_from_presentation_file_matches_builtin(capsys, tmp_path):
+    path = tmp_path / "n.txt"
+    path.write_text(N_RULES, encoding="utf-8")
+    code, from_file, err = run(
+        capsys, "ball", "-p", str(path), "--radius", "4", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    _, builtin, _ = run(
+        capsys, "ball", "-p", "builtin:N", "--radius", "4", "--format", "json"
+    )
+    assert from_file == builtin
+
+
 def test_verify_iso(capsys):
     code, out, _ = run(capsys, "verify-iso", "--radius", "5")
     assert code == 0
@@ -178,25 +197,3 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
-
-
-def test_thread_cap_env_var(monkeypatch):
-    from cayleyforge.cli import _workers
-
-    monkeypatch.delenv("CAYLEYFORGE_THREADS", raising=False)
-    assert _workers() == 1
-    monkeypatch.setenv("CAYLEYFORGE_THREADS", "4")
-    assert _workers() == 4
-    monkeypatch.setenv("CAYLEYFORGE_THREADS", "0")
-    assert _workers() == 1
-    monkeypatch.setenv("CAYLEYFORGE_THREADS", "junk")
-    assert _workers() == 1
-
-
-def test_thread_cap_does_not_change_output(capsys, monkeypatch):
-    _, baseline, _ = run(capsys, "ball", "-p", "builtin:N", "--radius", "5",
-                         "--format", "json")
-    monkeypatch.setenv("CAYLEYFORGE_THREADS", "4")
-    _, threaded, _ = run(capsys, "ball", "-p", "builtin:N", "--radius", "5",
-                         "--format", "json")
-    assert baseline == threaded

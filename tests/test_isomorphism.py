@@ -1,11 +1,11 @@
 """Explicit-map verification, the independent search, and left-ball
 separation."""
 
+import json
 import random
+import sys
 
 import pytest
-
-import json
 
 from cayleyforge import (
     UnlabelledDigraph,
@@ -115,6 +115,23 @@ def test_verify_detects_a_broken_pair(sys_m, sys_n):
     assert report.witness[0] == "forward"
 
 
+def test_verify_detects_a_duplicated_arc(sys_m, sys_n):
+    ball_m, ball_n = _right_balls(sys_m, sys_n, 3)
+    # one extra copy of an N arc: every M arc still has its image, so
+    # only the backward direction can see the surplus
+    padded = type(ball_n)(
+        side=ball_n.side,
+        radius=ball_n.radius,
+        policy=ball_n.policy,
+        vertices=ball_n.vertices,
+        edges=ball_n.edges + ball_n.edges[:1],
+        frontier=ball_n.frontier,
+    )
+    report = verify_explicit_iso(ball_m, padded)
+    assert not report.verified
+    assert report.witness[0] == "backward"
+
+
 def test_find_isomorphism_trivial_graphs():
     single = UnlabelledDigraph(1, ())
     result = find_isomorphism(single, single)
@@ -166,6 +183,26 @@ def test_budget_exhaustion_is_explicit():
     result = find_isomorphism(graph, graph, budget=2)
     assert result.status == "budget_exhausted"
     assert result.certificate is None
+    assert result.expansions == 3
+
+
+def test_search_does_not_depend_on_the_recursion_limit(sys_m, sys_n, monkeypatch):
+    gm, gn = (strip_labels(ball) for ball in _right_balls(sys_m, sys_n, 10))
+    assert gm.n == 905
+
+    def refuse(limit):
+        raise AssertionError("the search must not change the recursion limit")
+
+    old_limit = sys.getrecursionlimit()
+    set_limit = sys.setrecursionlimit
+    set_limit(400)
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    try:
+        result = find_isomorphism(gm, gn)
+    finally:
+        set_limit(old_limit)
+    assert result.status == "isomorphic"
+    assert result.expansions == gm.n
 
 
 def _random_digraph(rng, n, arc_count):
@@ -175,18 +212,84 @@ def _random_digraph(rng, n, arc_count):
     return UnlabelledDigraph(n, tuple(sorted(arcs)))
 
 
-def test_planted_isomorphism_is_found():
-    rng = random.Random(7)
-    for _ in range(10):
-        graph = _random_digraph(rng, 12, 20)
-        perm = list(range(12))
-        rng.shuffle(perm)
-        shuffled = UnlabelledDigraph(
-            12, tuple(sorted((perm[s], perm[d]) for s, d in graph.arcs))
-        )
+# Frozen regression constants: (mapping, expansions) of each planted
+# pair below, which pin the order in which the search tries candidates.
+PLANTED_RESULTS = [
+    ((7, 6, 3, 11, 5, 10, 0, 1, 8, 4, 9, 2), 12),
+    ((11, 9, 4, 3, 6, 7, 2, 5, 8, 1, 10, 0), 12),
+    ((1, 7, 0, 11, 9, 3, 5, 10, 6, 2, 4, 8), 12),
+    ((8, 11, 9, 6, 10, 0, 4, 5, 1, 2, 7, 3), 12),
+    ((9, 0, 3, 7, 6, 2, 11, 5, 8, 4, 1, 10), 12),
+    ((10, 11, 4, 0, 8, 5, 7, 2, 9, 3, 6, 1), 12),
+    ((11, 3, 10, 2, 0, 1, 7, 6, 8, 4, 5, 9), 12),
+    ((6, 0, 9, 1, 2, 4, 5, 3, 11, 10, 8, 7), 12),
+    ((1, 11, 3, 9, 5, 4, 2, 6, 0, 10, 7, 8), 12),
+    ((11, 10, 3, 7, 1, 5, 9, 0, 2, 4, 6, 8), 12),
+]
+
+# The same for 2-in 2-out graphs, on which refinement leaves one color
+# class; the second pair needs real backtracks (expansions > n).
+REGULAR_RESULTS = [
+    ((9, 4, 8, 1, 7, 0, 5, 6, 2, 3), 10),
+    ((1, 0, 5, 3, 7, 2, 9, 8, 6, 4), 87),
+    ((9, 5, 8, 4, 3, 7, 0, 2, 6, 1), 10),
+    ((3, 6, 1, 8, 7, 0, 5, 2, 9, 4), 10),
+    ((2, 7, 8, 1, 4, 3, 9, 5, 6, 0), 10),
+    ((3, 0, 1, 7, 9, 4, 6, 8, 5, 2), 10),
+]
+
+
+def _shuffled(rng, graph):
+    perm = list(range(graph.n))
+    rng.shuffle(perm)
+    return UnlabelledDigraph(
+        graph.n, tuple(sorted((perm[s], perm[d]) for s, d in graph.arcs))
+    )
+
+
+def _planted_results(rng, make_graph, count):
+    results = []
+    for _ in range(count):
+        graph = make_graph()
+        shuffled = _shuffled(rng, graph)
         result = find_isomorphism(graph, shuffled)
         assert result.status == "isomorphic"
         assert validate_certificate(graph, shuffled, result.certificate.mapping) is None
+        results.append((result.certificate.mapping, result.expansions))
+    return results
+
+
+def test_planted_isomorphism_is_found():
+    rng = random.Random(7)
+    results = _planted_results(rng, lambda: _random_digraph(rng, 12, 20), 10)
+    assert results == PLANTED_RESULTS
+
+
+def test_planted_isomorphism_on_regular_graphs():
+    rng = random.Random(3)
+
+    def permutation_union():
+        arcs = []
+        for _ in range(2):
+            perm = list(range(10))
+            rng.shuffle(perm)
+            arcs.extend(enumerate(perm))
+        return UnlabelledDigraph(10, tuple(sorted(arcs)))
+
+    assert _planted_results(rng, permutation_union, 6) == REGULAR_RESULTS
+
+
+def test_exhaustive_search_proves_non_isomorphism():
+    # one 6-cycle against two 3-cycles: refinement cannot tell them apart
+    cycle = UnlabelledDigraph(6, tuple((i, (i + 1) % 6) for i in range(6)))
+    triangles = UnlabelledDigraph(
+        6, tuple((i, 3 * (i // 3) + (i + 1) % 3) for i in range(6))
+    )
+    for g1, g2 in ((cycle, triangles), (triangles, cycle)):
+        result = find_isomorphism(g1, g2)
+        assert (result.status, result.certificate, result.expansions) == (
+            "non_isomorphic", None, 60,
+        )
 
 
 def test_fingerprint_difference_means_no_certificate():
@@ -203,8 +306,12 @@ def test_fingerprint_difference_means_no_certificate():
         if graph_invariants(graph) == graph_invariants(tampered):
             continue
         checked += 1
-        assert find_isomorphism(graph, tampered).status == "non_isomorphic"
-    assert checked > 10
+        result = find_isomorphism(graph, tampered)
+        # refinement alone rejects every one of these pairs
+        assert (result.status, result.certificate, result.expansions) == (
+            "non_isomorphic", None, 0,
+        )
+    assert checked == 30
 
 
 def test_nfm3_out_edges_split_into_both_classes(sys_m):
