@@ -55,8 +55,9 @@ class UnlabelledDigraph:
                 raise ValueError(f"arc ({src}, {dst}) out of range for n={self.n}")
 
 
-def _product(system: RewritingSystem, v: Word, g: str, side: str) -> Word:
-    return normal_form(system, v + g if side == "right" else g + v)
+def _product(v: Word, g: str, side: str) -> Word:
+    """The unreduced word ``v.g`` (right) or ``g.v`` (left)."""
+    return v + g if side == "right" else g + v
 
 
 def edge_target(system: RewritingSystem, v: Word, g: str, side: str = "right") -> Word:
@@ -69,7 +70,7 @@ def edge_target(system: RewritingSystem, v: Word, g: str, side: str = "right") -
         )
     if not is_irreducible(system, v):
         raise ValueError(f"vertex word {v!r} is not irreducible")
-    return _product(system, v, g, side)
+    return normal_form(system, _product(v, g, side))
 
 
 def build_ball(
@@ -78,7 +79,9 @@ def build_ball(
     """Construct the ball of the given radius around the identity.
 
     Needs a certified system.  Edges and frontier targets are listed by
-    source vertex, then by generator in alphabet order.
+    source vertex, then by generator in alphabet order.  A product that
+    is already a ball vertex is irreducible, so only the other products
+    are reduced.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
@@ -96,11 +99,16 @@ def build_ball(
     frontier: list[tuple[int, str, Word]] = []
     for src, v in enumerate(vertices):
         for g in system.alphabet:
-            target = _product(system, v, g, side)
-            if len(target) <= radius:
-                edges.append((src, index[target], g))
-            elif policy == "with_frontier":
-                frontier.append((src, g, target))
+            product = _product(v, g, side)
+            dst = index.get(product)
+            if dst is None:
+                target = normal_form(system, product)
+                if len(target) > radius:
+                    if policy == "with_frontier":
+                        frontier.append((src, g, target))
+                    continue
+                dst = index[target]
+            edges.append((src, dst, g))
     return CayleyBall(side, radius, policy, vertices, tuple(edges), tuple(frontier))
 
 

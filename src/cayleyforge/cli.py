@@ -43,7 +43,7 @@ EXIT_PROPERTY_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _positive_int(text: str) -> int:
+def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text} is negative")
@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("confluence", help="check local confluence via critical pairs")
     p.add_argument("-p", "--presentation", required=True)
-    p.add_argument("--schema-bound", type=_positive_int, default=DEFAULT_SCHEMA_BOUND,
+    p.add_argument("--schema-bound", type=_nonnegative_int,
+                   default=DEFAULT_SCHEMA_BOUND,
                    help=f"instantiate schemas up to this exponent (default "
                         f"{DEFAULT_SCHEMA_BOUND})")
     p.set_defaults(func=cmd_confluence)
@@ -260,10 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ball", help="build a Cayley-graph ball")
     p.add_argument("-p", "--presentation", required=True)
     p.add_argument("--side", choices=("right", "left"), default="right")
-    p.add_argument("--radius", type=_positive_int, required=True)
+    p.add_argument("--radius", type=_nonnegative_int, required=True)
     p.add_argument("--policy", choices=("closed", "with-frontier"), default="closed")
     p.add_argument("--format", choices=("dot", "json", "text"), default="text")
-    p.add_argument("--schema-bound", type=_positive_int, default=DEFAULT_SCHEMA_BOUND)
+    p.add_argument("--schema-bound", type=_nonnegative_int,
+                   default=DEFAULT_SCHEMA_BOUND)
     p.add_argument("-o", "--output", default=None,
                    help="output path (default: stdout)")
     p.set_defaults(func=cmd_ball)
@@ -273,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify the explicit right-ball isomorphism between the builtins "
              "and confirm it with an independent search",
     )
-    p.add_argument("--radius", type=_positive_int, default=6)
+    p.add_argument("--radius", type=_nonnegative_int, default=6)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify_iso)
 
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         "left-noniso",
         help="separate the left Cayley balls of the builtins by radius",
     )
-    p.add_argument("--max-radius", type=_positive_int, default=8)
+    p.add_argument("--max-radius", type=_nonnegative_int, default=8)
     p.set_defaults(func=cmd_left_noniso)
 
     return parser

@@ -5,8 +5,9 @@ checks that the structural normal-form bijection between the built-in
 systems maps the right-ball arcs onto each other: arc by arc forward,
 and by arc count backward.  ``find_isomorphism`` knows nothing about
 words: it searches for any isomorphism between two unlabelled digraphs
-by iterated degree-profile partition refinement plus backtracking, and
-validates any certificate it returns from scratch.
+by split-based color refinement (only classes next to a recolored
+vertex are re-examined) plus backtracking in a vertex order fixed before
+the search, and validates any certificate it returns from scratch.
 
 ``separate_left_graphs`` uses both to locate the smallest ball radius at
 which the left Cayley graphs of two systems can be told apart.
@@ -14,9 +15,10 @@ which the left Cayley graphs of two systems can be told apart.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .cayley import (
@@ -182,8 +184,21 @@ def _adjacency(g: UnlabelledDigraph) -> Adjacency:
 def _refine_colors(
     adjacency1: Adjacency, adjacency2: Adjacency
 ) -> tuple[list[int], list[int], bool]:
-    """Iterated joint degree-profile refinement of the vertex sets of two
-    graphs, given as ``(out, in)`` adjacency from :func:`_adjacency`.
+    """Split-based color refinement of the disjoint union of two graphs,
+    given as ``(out, in)`` adjacency from :func:`_adjacency`.
+
+    Starts from the coloring by (in-degree, out-degree, loops) and ends
+    at its coarsest equitable refinement: any two vertices of one class
+    have, for every class, as many arcs (with multiplicity) to it and as
+    many from it.  That partition is unique, so it does not depend on
+    the order of splits.  Each pass looks only at the vertices with a
+    neighbour recolored in the previous pass and splits their classes by
+    the sorted colors of their out- and in-neighbours.  Untouched members
+    of such a class all keep their former signature, which no touched
+    member can share, since a recolored vertex always gets a fresh color;
+    so they form one part and keep the class's color.  When every member
+    was touched, the largest part keeps it.  The first pass touches
+    every vertex.
 
     Colors are comparable across the two graphs.  Returns the stable
     colorings and whether their histograms agree (a necessary condition
@@ -191,41 +206,55 @@ def _refine_colors(
     """
     out1, in1 = adjacency1
     out2, in2 = adjacency2
-    n1, n2 = len(out1), len(out2)
+    n1 = len(out1)
+    # Neighbour lists with multiplicity; vertex v of graph 2 is n1 + v.
+    out = [list(c.elements()) for c in out1]
+    out += [[n1 + u for u in c.elements()] for c in out2]
+    inc = [list(c.elements()) for c in in1]
+    inc += [[n1 + u for u in c.elements()] for c in in2]
 
-    def initial(out, inc, n):
-        return [
-            (sum(inc[v].values()), sum(out[v].values()), out[v][v])
-            for v in range(n)
-        ]
-
-    raw1 = initial(out1, in1, n1)
-    raw2 = initial(out2, in2, n2)
     palette: dict = {}
-    colors1 = [palette.setdefault(c, len(palette)) for c in raw1]
-    colors2 = [palette.setdefault(c, len(palette)) for c in raw2]
+    colors = [
+        palette.setdefault((len(inc[x]), len(out[x]), out[x].count(x)), len(palette))
+        for x in range(len(out))
+    ]
+    size = [0] * len(palette)
+    for color in colors:
+        size[color] += 1
 
+    touched: Iterable[int] = range(len(out))
     while True:
-        palette = {}
-
-        def signature(v, colors, out, inc):
-            return (
-                colors[v],
-                tuple(sorted(colors[u] for u in out[v].elements())),
-                tuple(sorted(colors[u] for u in inc[v].elements())),
-            )
-
-        new1 = [
-            palette.setdefault(signature(v, colors1, out1, in1), len(palette))
-            for v in range(n1)
-        ]
-        new2 = [
-            palette.setdefault(signature(v, colors2, out2, in2), len(palette))
-            for v in range(n2)
-        ]
-        if new1 == colors1 and new2 == colors2:
+        by_class: dict[int, list[int]] = {}
+        for x in touched:
+            by_class.setdefault(colors[x], []).append(x)
+        recolored: list[tuple[list[int], int]] = []
+        color_of = colors.__getitem__
+        for color, members in by_class.items():
+            if size[color] == 1:
+                continue
+            parts: dict = {}
+            for x in members:
+                signature = (
+                    tuple(sorted(map(color_of, out[x]))),
+                    tuple(sorted(map(color_of, inc[x]))),
+                )
+                parts.setdefault(signature, []).append(x)
+            groups = list(parts.values())
+            if len(members) == size[color]:
+                groups.remove(max(groups, key=len))
+            for group in groups:
+                size[color] -= len(group)
+                recolored.append((group, len(size)))
+                size.append(len(group))
+        if not recolored:
             break
-        colors1, colors2 = new1, new2
+        for group, color in recolored:
+            for x in group:
+                colors[x] = color
+        touched = {
+            u for group, _ in recolored for x in group for u in out[x] + inc[x]
+        }
+    colors1, colors2 = colors[:n1], colors[n1:]
     return colors1, colors2, Counter(colors1) == Counter(colors2)
 
 
@@ -240,8 +269,15 @@ def find_isomorphism(
     expansions are spent (the result then reports ``budget + 1``).  The
     backtracking runs on an explicit stack with one frame per vertex on
     the search path, so its depth is bounded by memory, not by the
-    interpreter's recursion limit.  A returned certificate has been re-validated arc
-    by arc.  Deterministic: the lowest-index certificate is found first.
+    interpreter's recursion limit.  A returned certificate has been
+    re-validated arc by arc.
+
+    Deterministic.  The next vertex of ``g1`` to map is an unmapped one
+    with a mapped neighbour if there is any, then one from a smaller
+    color class, then the one of lower index; its candidates in ``g2``
+    are tried in increasing index.  That choice depends only on which
+    vertices are mapped, and those are the ones chosen before it, so the
+    whole order is fixed before the search by one pass over a heap.
     """
     if g1.n != g2.n or len(g1.arcs) != len(g2.arcs):
         return SearchResult("non_isomorphic", None, 0)
@@ -259,24 +295,26 @@ def find_isomorphism(
     for v in range(n):
         candidates_by_color.setdefault(colors2[v], []).append(v)
 
+    # Keys are (no mapped neighbour, class size, index).  A vertex gets a
+    # smaller key whenever a neighbour is placed; only the first of its
+    # keys to come off the heap counts.
+    order: list[int] = []
+    placed = [False] * n
+    heap = [(1, class_size[colors1[v]], v) for v in range(n)]
+    heapq.heapify(heap)
+    while heap:
+        v = heapq.heappop(heap)[2]
+        if placed[v]:
+            continue
+        placed[v] = True
+        order.append(v)
+        for u in out1[v].keys() | in1[v].keys():
+            if not placed[u]:
+                heapq.heappush(heap, (0, class_size[colors1[u]], u))
+
     mapping = [-1] * n
     inverse = [-1] * n
     expansions = 0
-
-    def pick_next() -> int:
-        # Prefer vertices touching the mapped region, then small classes.
-        best = -1
-        best_key = None
-        for v in range(n):
-            if mapping[v] != -1:
-                continue
-            touching = any(mapping[u] != -1 for u in out1[v]) or any(
-                mapping[u] != -1 for u in in1[v]
-            )
-            key = (not touching, class_size[colors1[v]], v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-        return best
 
     def consistent(v1: int, v2: int) -> bool:
         if out1[v1][v1] != out2[v2][v2]:
@@ -299,20 +337,20 @@ def find_isomorphism(
                 return False
         return True
 
-    def frame() -> tuple[int, Iterator[int]]:
-        v1 = pick_next()
-        return v1, iter(candidates_by_color.get(colors1[v1], ()))
+    def candidates(depth: int) -> Iterator[int]:
+        return iter(candidates_by_color[colors1[order[depth]]])
 
-    # Each frame holds a vertex of g1 and its untried candidates in g2.
-    # A frame is re-entered either fresh or after its child frame ran out
-    # of candidates; in the latter case its vertex's assignment is undone.
-    stack = [frame()]
+    # One iterator of untried candidates in g2 per depth k, for vertex
+    # order[k] of g1.  The top one is re-entered either fresh or after
+    # the next depth ran out of candidates; in the latter case its
+    # vertex's assignment is undone.
+    stack = [candidates(0)]
     while stack:
-        v1, untried = stack[-1]
+        v1 = order[len(stack) - 1]
         if mapping[v1] != -1:
             inverse[mapping[v1]] = -1
             mapping[v1] = -1
-        for v2 in untried:
+        for v2 in stack[-1]:
             if inverse[v2] != -1:
                 continue
             expansions += 1
@@ -327,7 +365,7 @@ def find_isomorphism(
             continue
         if len(stack) == n:
             break
-        stack.append(frame())
+        stack.append(candidates(len(stack)))
 
     if not stack:
         return SearchResult("non_isomorphic", None, expansions)

@@ -162,7 +162,7 @@ def parse_presentation(text: str) -> RewritingSystem:
     """Parse presentation text into an (uncertified) rewriting system.
 
     The alphabet must be declared before any rule; the loaded system must
-    be length-reducing.
+    be length-reducing.  Every error that belongs to one line names it.
     """
     alphabet: tuple[str, ...] | None = None
     rules: list[RewriteRule] = []
@@ -180,6 +180,12 @@ def parse_presentation(text: str) -> RewritingSystem:
                 raise PresentationError(
                     f"line {lineno}: alphabet needs at least one symbol"
                 )
+            _parse_symbols(args, lineno, "alphabet")
+            for k, symbol in enumerate(args):
+                if symbol in args[:k]:
+                    raise PresentationError(
+                        f"line {lineno}: duplicate alphabet symbol {symbol!r}"
+                    )
             alphabet = tuple(args)
         elif kind == "rule":
             if alphabet is None:
@@ -188,17 +194,22 @@ def parse_presentation(text: str) -> RewritingSystem:
                 )
             parsed = _parse_rule(args, lineno)
             if isinstance(parsed, RewriteRule):
+                symbols = parsed.lhs + parsed.rhs
                 rules.append(parsed)
             else:
+                symbols = parsed.prefix + parsed.pumped + parsed.suffix + parsed.rhs
                 schemas.append(parsed)
+            for symbol in symbols:
+                if symbol not in alphabet:
+                    raise PresentationError(
+                        f"line {lineno}: symbol {symbol!r} is not in the "
+                        f"alphabet {{{', '.join(alphabet)}}}"
+                    )
         else:
             raise PresentationError(f"line {lineno}: unknown declaration {kind!r}")
     if alphabet is None:
         raise PresentationError("no alphabet declaration")
-    try:
-        system = RewritingSystem(alphabet, tuple(rules), tuple(schemas))
-    except ValueError as exc:
-        raise PresentationError(str(exc)) from exc
+    system = RewritingSystem(alphabet, tuple(rules), tuple(schemas))
     report = check_length_reducing(system)
     if not report.passed:
         bad = "; ".join(system.label(i) for i in report.failing)
@@ -223,6 +234,6 @@ def load_presentation(source: str | Path) -> RewritingSystem:
     path = Path(source)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PresentationError(f"cannot read {path}: {exc}") from exc
     return parse_presentation(text)

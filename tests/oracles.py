@@ -99,3 +99,121 @@ def critical_sources_by_scan(rules):
                 if min(sa, sb) == 0 and max(ea, eb) == len(word):
                     found[(word, tuple(sorted((ra, rb))))] += 1
     return found
+
+
+def refine_by_rounds(graphs):
+    """Stable partition of the disjoint union of digraphs given as
+    ``(n, arcs)`` pairs, by synchronous rounds over plain arc lists.
+
+    Starts from (in-degree, out-degree, loops) and recolors every vertex
+    in every round by its color plus the sorted colors of its out- and
+    in-neighbours, until a round leaves the number of classes unchanged.
+    Returns the classes as a set of frozensets of ``(graph, vertex)``.
+    """
+    vertices = [(k, v) for k, (n, _) in enumerate(graphs) for v in range(n)]
+    out = {x: [] for x in vertices}
+    inc = {x: [] for x in vertices}
+    for k, (_, arcs) in enumerate(graphs):
+        for src, dst in arcs:
+            out[(k, src)].append((k, dst))
+            inc[(k, dst)].append((k, src))
+    color = {x: (len(inc[x]), len(out[x]), out[x].count(x)) for x in vertices}
+    while True:
+        signature = {
+            x: (
+                color[x],
+                tuple(sorted(color[u] for u in out[x])),
+                tuple(sorted(color[u] for u in inc[x])),
+            )
+            for x in vertices
+        }
+        names = {s: i for i, s in enumerate(sorted(set(signature.values())))}
+        refined = {x: names[signature[x]] for x in vertices}
+        if len(names) == len(set(color.values())):
+            break
+        color = refined
+    classes = {}
+    for x in vertices:
+        classes.setdefault(color[x], set()).add(x)
+    return {frozenset(members) for members in classes.values()}
+
+
+def backtrack_linear_scan(g1, g2, budget):
+    """``(status, mapping, expansions)`` of a recursive backtracking search
+    between digraphs given as ``(n, arcs)`` pairs.
+
+    Vertices of ``g1`` may only map to vertices of the same class of
+    :func:`refine_by_rounds`.  The next vertex is found by scanning all
+    unmapped ones for the least key (no mapped neighbour, size of its
+    class in ``g1``, index); its candidates are tried in increasing
+    index, each costing one expansion, and a candidate is kept when the
+    arc multiplicities to and from every mapped vertex, and the loops,
+    agree.  More than ``budget`` expansions give ``budget_exhausted``.
+    """
+    (n, arcs1), (n2, arcs2) = g1, g2
+    if n != n2 or len(arcs1) != len(arcs2):
+        return "non_isomorphic", None, 0
+    if n == 0:
+        return "isomorphic", (), 0
+    class_of = {}
+    for members in refine_by_rounds([g1, g2]):
+        for x in members:
+            class_of[x] = members
+    for members in set(class_of.values()):
+        if sum(k == 0 for k, _ in members) != sum(k == 1 for k, _ in members):
+            return "non_isomorphic", None, 0
+    size = [sum(k == 0 for k, _ in class_of[(0, v)]) for v in range(n)]
+    candidates = [sorted(u for k, u in class_of[(0, v)] if k == 1) for v in range(n)]
+    count1, count2 = Counter(arcs1), Counter(arcs2)
+    neighbours = [set() for _ in range(n)]
+    for src, dst in arcs1:
+        neighbours[src].add(dst)
+        neighbours[dst].add(src)
+    mapping, inverse = {}, {}
+    expansions = 0
+
+    class Exhausted(Exception):
+        pass
+
+    def pick():
+        keys = [
+            (not any(u in mapping for u in neighbours[v]), size[v], v)
+            for v in range(n)
+            if v not in mapping
+        ]
+        return min(keys)[2]
+
+    def consistent(v1, v2):
+        if count1[(v1, v1)] != count2[(v2, v2)]:
+            return False
+        return all(
+            count1[(v1, u1)] == count2[(v2, u2)]
+            and count1[(u1, v1)] == count2[(u2, v2)]
+            for u1, u2 in mapping.items()
+        )
+
+    def extend():
+        nonlocal expansions
+        if len(mapping) == n:
+            return True
+        v1 = pick()
+        for v2 in candidates[v1]:
+            if v2 in inverse:
+                continue
+            expansions += 1
+            if expansions > budget:
+                raise Exhausted
+            if consistent(v1, v2):
+                mapping[v1], inverse[v2] = v2, v1
+                if extend():
+                    return True
+                del mapping[v1], inverse[v2]
+        return False
+
+    try:
+        found = extend()
+    except Exhausted:
+        return "budget_exhausted", None, expansions
+    if not found:
+        return "non_isomorphic", None, expansions
+    return "isomorphic", tuple(mapping[v] for v in range(n)), expansions

@@ -128,7 +128,7 @@ def test_criterion_5_right_ball_isomorphism(capsys):
     start = time.perf_counter()
     assert len(oracles.irreducible_words_by_filter(system_m(), 12, 4)) == 30
     assert len(oracles.irreducible_words_by_filter(system_n(), 1, 5)) == 57
-    for radius in range(0, 9):
+    for radius in range(0, 13):
         ball_m = build_ball(system_m(), "right", radius, "closed")
         ball_n = build_ball(system_n(), "right", radius, "closed")
         assert len(ball_m.vertices) == len(ball_n.vertices)
@@ -137,14 +137,29 @@ def test_criterion_5_right_ball_isomorphism(capsys):
         if radius == 5:
             assert len(ball_m.vertices) == 57
         assert verify_explicit_iso(ball_m, ball_n).verified
-        if radius <= 6:
-            result = find_isomorphism(strip_labels(ball_m), strip_labels(ball_n))
-            assert result.status == "isomorphic"
+        result = find_isomorphism(strip_labels(ball_m), strip_labels(ball_n))
+        assert result.status == "isomorphic"
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     with capsys.disabled():
-        _report(5, True, f"verified radii 0..8, search agrees 0..6, "
+        _report(5, True, f"verified and searched radii 0..12, "
                           f"|ball(4)|=30, |ball(5)|=57 ({elapsed:.2f}s)")
+
+
+# stdout of ``verify-iso --radius 12``, recorded before the search and the
+# refinement were rewritten; the expansion count equals the vertex count
+VERIFY_ISO_RADIUS_12 = """\
+radius 12: 2475 vertices (M ball) and 2475 vertices (N ball)
+explicit bijection: verified (6736 arcs checked across both directions, 2475 vertices)
+independent search: isomorphic (2475 expansions, certificate validated)
+verify-iso: PASS
+"""
+
+
+def test_verify_iso_radius_12_output_is_pinned(capsys):
+    assert main(["verify-iso", "--radius", "12"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (VERIFY_ISO_RADIUS_12, "")
 
 
 def test_criterion_6_truncation_argument(capsys):

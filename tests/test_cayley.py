@@ -75,6 +75,22 @@ def test_frontier_policy_gives_total_out_degree(sys_m, sys_n):
         assert all(len(target) == 6 for _, _, target in ball.frontier)
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_ball_targets_are_reduced_products(sys_m, sys_n, side):
+    # every edge and frontier target is the normal form of its product,
+    # also where the ball takes an irreducible product as it is
+    for system in (sys_m, sys_n):
+        ball = build_ball(system, side, 7, "with_frontier")
+        found = [(src, g, ball.vertices[dst]) for src, dst, g in ball.edges]
+        found += ball.frontier
+        assert sorted(found) == sorted(
+            (src, g, edge_target(system, v, g, side))
+            for src, v in enumerate(ball.vertices)
+            for g in system.alphabet
+        )
+        assert build_ball(system, side, 7, "closed").edges == ball.edges
+
+
 def test_closed_ball_drops_frontier(sys_m):
     closed = build_ball(sys_m, "right", 4, "closed")
     assert closed.frontier == ()

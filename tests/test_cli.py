@@ -141,6 +141,37 @@ def test_ball_from_presentation_file_matches_builtin(capsys, tmp_path):
     assert from_file == builtin
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("alphabet ab c\n", "line 1: alphabet symbols are single characters"),
+        ("alphabet a a\n", "line 1: duplicate alphabet symbol 'a'"),
+        ("alphabet ab c\nrule c c -> c\n",
+         "line 1: alphabet symbols are single characters"),
+        ("# M with a typo\nalphabet a b\nrule a x -> a\n",
+         "line 3: symbol 'x' is not in the alphabet {a, b}"),
+        ("alphabet a b\nrule a c{n} a -> a b a where n >= 2\n",
+         "line 2: symbol 'c' is not in the alphabet {a, b}"),
+    ],
+)
+def test_presentation_errors_name_their_line(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "reduce", "-p", str(path), "-w", "a")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+
+
+def test_undecodable_presentation_names_the_path(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"alphabet a b\n# caf\xe9\n")
+    code, out, err = run(capsys, "ball", "-p", str(path), "--radius", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+    assert "Traceback" not in err
+
+
 def test_verify_iso(capsys):
     code, out, _ = run(capsys, "verify-iso", "--radius", "5")
     assert code == 0

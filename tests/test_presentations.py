@@ -100,6 +100,9 @@ def test_parse_empty_rhs():
         ("alphabet a b\nrule a b{n} a -> a where m >= 2", "malformed 'where'"),
         ("alphabet a b\nrule a b{n} a -> a where n >= x", "not an integer"),
         ("alphabet a b\nrule a x -> a", "not in the alphabet"),
+        ("alphabet a a", "^line 1: duplicate alphabet symbol"),
+        ("alphabet ab c\nrule c c -> c", "^line 1: alphabet symbols"),
+        ("alphabet a b\n\nrule a b -> x", "^line 3: symbol 'x' is not in"),
         ("alphabet a b\nfoo a", "unknown declaration"),
         ("", "no alphabet"),
         ("alphabet a b\nrule -> a", "empty left-hand side"),
@@ -118,6 +121,10 @@ def test_load_from_file(tmp_path):
     assert len(system.rules) == 4
     with pytest.raises(PresentationError, match="cannot read"):
         load_presentation(tmp_path / "missing.txt")
+    undecodable = tmp_path / "utf16.txt"
+    undecodable.write_text("alphabet a b\n", encoding="utf-16")
+    with pytest.raises(PresentationError, match="^cannot read .*utf16.txt: "):
+        load_presentation(undecodable)
 
 
 def test_file_loaded_system_builds_the_builtin_ball(sys_n):
