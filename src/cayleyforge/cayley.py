@@ -13,7 +13,7 @@ dropped (``closed``) or recorded (``with_frontier``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .normal_forms import enumerate_normal_forms
 from .rewriting import (
@@ -44,15 +44,29 @@ class CayleyBall:
 
 @dataclass(frozen=True)
 class UnlabelledDigraph:
-    """Arc multiset on vertices 0..n-1; loops and parallel arcs allowed."""
+    """Arc multiset on vertices 0..n-1; loops and parallel arcs allowed.
+
+    ``out[v]`` and ``inc[v]`` list the heads of the arcs leaving ``v``
+    and the tails of the arcs entering it, with multiplicity and in arc
+    order.  They are built once with the digraph, take no part in its
+    construction, comparison, hash or repr, and must not be mutated.
+    """
 
     n: int
     arcs: tuple[tuple[int, int], ...]
+    out: list[list[int]] = field(init=False, repr=False, compare=False)
+    inc: list[list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        out: list[list[int]] = [[] for _ in range(self.n)]
+        inc: list[list[int]] = [[] for _ in range(self.n)]
         for src, dst in self.arcs:
             if not (0 <= src < self.n and 0 <= dst < self.n):
                 raise ValueError(f"arc ({src}, {dst}) out of range for n={self.n}")
+            out[src].append(dst)
+            inc[dst].append(src)
+        object.__setattr__(self, "out", out)
+        object.__setattr__(self, "inc", inc)
 
 
 def _product(v: Word, g: str, side: str) -> Word:
@@ -144,21 +158,12 @@ class Fingerprint:
 def graph_invariants(g: UnlabelledDigraph) -> Fingerprint:
     """Vertex/arc counts, the degree-pair multiset, and per-vertex
     profiles of the degree pairs seen one step out and one step in."""
-    indeg = [0] * g.n
-    outdeg = [0] * g.n
-    out_nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    in_nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    for src, dst in g.arcs:
-        outdeg[src] += 1
-        indeg[dst] += 1
-        out_nbrs[src].append(dst)
-        in_nbrs[dst].append(src)
-    degree = [(indeg[v], outdeg[v]) for v in range(g.n)]
+    degree = [(len(g.inc[v]), len(g.out[v])) for v in range(g.n)]
     profiles = [
         (
             degree[v],
-            tuple(sorted(degree[u] for u in out_nbrs[v])),
-            tuple(sorted(degree[u] for u in in_nbrs[v])),
+            tuple(sorted(degree[u] for u in g.out[v])),
+            tuple(sorted(degree[u] for u in g.inc[v])),
         )
         for v in range(g.n)
     ]
@@ -167,23 +172,30 @@ def graph_invariants(g: UnlabelledDigraph) -> Fingerprint:
     )
 
 
+def _dot_label(text: str) -> str:
+    """``text`` as a quoted DOT string, with ``\\`` and ``"`` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(obj: CayleyBall | UnlabelledDigraph) -> str:
     """Graphviz text; node labels are the vertex words for a ball and
     bare indices for an unlabelled digraph.  Byte-stable per input."""
     lines = ["digraph {"]
     if isinstance(obj, CayleyBall):
         for i, w in enumerate(obj.vertices):
-            lines.append(f'  v{i} [label="{show_word(w)}"];')
+            lines.append(f"  v{i} [label={_dot_label(show_word(w))}];")
         for src, dst, g in obj.edges:
-            lines.append(f'  v{src} -> v{dst} [label="{g}"];')
+            lines.append(f"  v{src} -> v{dst} [label={_dot_label(g)}];")
         outside: dict[Word, int] = {}
         for src, g, target in obj.frontier:
             if target not in outside:
                 outside[target] = len(outside)
                 lines.append(
-                    f'  f{outside[target]} [label="{target}", style=dashed];'
+                    f"  f{outside[target]} [label={_dot_label(target)}, style=dashed];"
                 )
-            lines.append(f'  v{src} -> f{outside[target]} [label="{g}", style=dashed];')
+            lines.append(
+                f"  v{src} -> f{outside[target]} [label={_dot_label(g)}, style=dashed];"
+            )
     elif isinstance(obj, UnlabelledDigraph):
         for i in range(obj.n):
             lines.append(f"  {i};")

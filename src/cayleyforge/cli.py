@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success or property verified, 1 a checked property failed,
-2 usage or presentation errors.  All output is deterministic.
+2 usage or presentation errors, or an output file that cannot be
+written.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -43,15 +44,22 @@ EXIT_PROPERTY_FAILED = 1
 EXIT_USAGE = 2
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text} is negative")
     return value
 
 
 def _n0_value(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 2:
         raise argparse.ArgumentTypeError("n0 must be at least 2")
     return value
@@ -60,8 +68,11 @@ def _n0_value(text: str) -> int:
 def _emit(text: str, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:

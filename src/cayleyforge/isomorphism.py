@@ -7,7 +7,9 @@ and by arc count backward.  ``find_isomorphism`` knows nothing about
 words: it searches for any isomorphism between two unlabelled digraphs
 by split-based color refinement (only classes next to a recolored
 vertex are re-examined) plus backtracking in a vertex order fixed before
-the search, and validates any certificate it returns from scratch.
+the search, and validates any certificate it returns from scratch.  Both
+read the neighbour lists ``out``/``inc`` that each
+:class:`~cayleyforge.cayley.UnlabelledDigraph` builds once.
 
 ``separate_left_graphs`` uses both to locate the smallest ball radius at
 which the left Cayley graphs of two systems can be told apart.
@@ -85,13 +87,13 @@ def verify_explicit_iso(ball_m: CayleyBall, ball_n: CayleyBall) -> IsoReport:
     between two closed right balls of equal radius.
 
     Verifies that the word map restricts to a vertex bijection and that
-    the image of the arc multiset of ``ball_m`` is contained in that of
-    ``ball_n``, counting multiplicities, and that both multisets have
-    the same size.  That settles the backward direction too: the
-    mapping is a bijection, so the image multiset has the size of
-    ``arcs_m``; contained in ``arcs_n`` and of the same size, it equals
-    ``arcs_n``, and so the preimage of ``arcs_n`` is ``arcs_m``.  A
-    size difference is reported as a ``backward`` witness.
+    the image of the arc multiset ``arcs_m`` of ``ball_m`` is contained
+    in that of ``ball_n``, ``arcs_n``, counting multiplicities, and that
+    both multisets have the same size.  That settles the backward
+    direction too: the mapping is a bijection, so the image multiset has
+    the size of ``arcs_m``; contained in ``arcs_n`` and of the same
+    size, it equals ``arcs_n``, and so the preimage of ``arcs_n`` is
+    ``arcs_m``.  A size difference is reported as a ``backward`` witness.
     """
     for ball in (ball_m, ball_n):
         if ball.side != "right":
@@ -122,12 +124,11 @@ def verify_explicit_iso(ball_m: CayleyBall, ball_n: CayleyBall) -> IsoReport:
     if len(set(mapping)) != n_vertices:
         return _counterexample("vertex-map", "word map is not injective", n_vertices)
 
-    arcs_m = Counter((s, d) for s, d, _ in ball_m.edges)
     arcs_n = Counter((s, d) for s, d, _ in ball_n.edges)
-    total_m, total_n = sum(arcs_m.values()), sum(arcs_n.values())
+    total_m, total_n = len(ball_m.edges), len(ball_n.edges)
     arcs_checked = total_m + total_n
 
-    forward = Counter((mapping[s], mapping[d]) for (s, d) in arcs_m.elements())
+    forward = Counter((mapping[s], mapping[d]) for s, d, _ in ball_m.edges)
     for arc, count in sorted(forward.items()):
         if arcs_n[arc] < count:
             return _counterexample("forward", f"image arc {arc} missing", n_vertices)
@@ -169,23 +170,12 @@ def report_json(report: IsoReport | SearchResult) -> str:
     return json.dumps(payload, ensure_ascii=False)
 
 
-Adjacency = tuple[list[Counter], list[Counter]]
-
-
-def _adjacency(g: UnlabelledDigraph) -> Adjacency:
-    out: list[Counter] = [Counter() for _ in range(g.n)]
-    inc: list[Counter] = [Counter() for _ in range(g.n)]
-    for src, dst in g.arcs:
-        out[src][dst] += 1
-        inc[dst][src] += 1
-    return out, inc
-
-
 def _refine_colors(
-    adjacency1: Adjacency, adjacency2: Adjacency
+    g1: UnlabelledDigraph, g2: UnlabelledDigraph
 ) -> tuple[list[int], list[int], bool]:
     """Split-based color refinement of the disjoint union of two graphs,
-    given as ``(out, in)`` adjacency from :func:`_adjacency`.
+    read from their neighbour lists; vertex ``v`` of ``g2`` is
+    ``g1.n + v`` in the union.
 
     Starts from the coloring by (in-degree, out-degree, loops) and ends
     at its coarsest equitable refinement: any two vertices of one class
@@ -204,14 +194,9 @@ def _refine_colors(
     colorings and whether their histograms agree (a necessary condition
     for isomorphism).
     """
-    out1, in1 = adjacency1
-    out2, in2 = adjacency2
-    n1 = len(out1)
-    # Neighbour lists with multiplicity; vertex v of graph 2 is n1 + v.
-    out = [list(c.elements()) for c in out1]
-    out += [[n1 + u for u in c.elements()] for c in out2]
-    inc = [list(c.elements()) for c in in1]
-    inc += [[n1 + u for u in c.elements()] for c in in2]
+    n1 = g1.n
+    out = g1.out + [[n1 + u for u in heads] for heads in g2.out]
+    inc = g1.inc + [[n1 + u for u in tails] for tails in g2.inc]
 
     palette: dict = {}
     colors = [
@@ -264,7 +249,9 @@ def find_isomorphism(
     """Search for any isomorphism between two unlabelled digraphs.
 
     Backtracking over refinement classes: a vertex may only map to a
-    vertex of the same stable color, every tried candidate pair costs
+    vertex of the same stable color whose arcs to and from the mapped
+    vertices match its own, with multiplicity, as read from the
+    digraphs' ``out``/``inc`` lists.  Every tried candidate pair costs
     one expansion, and the search stops indeterminately once ``budget``
     expansions are spent (the result then reports ``budget + 1``).  The
     backtracking runs on an explicit stack with one frame per vertex on
@@ -283,9 +270,8 @@ def find_isomorphism(
         return SearchResult("non_isomorphic", None, 0)
     if g1.n == 0:
         return SearchResult("isomorphic", IsoCertificate(()), 0)
-    out1, in1 = adjacency1 = _adjacency(g1)
-    out2, in2 = adjacency2 = _adjacency(g2)
-    colors1, colors2, compatible = _refine_colors(adjacency1, adjacency2)
+    out1, in1, out2, in2 = g1.out, g1.inc, g2.out, g2.inc
+    colors1, colors2, compatible = _refine_colors(g1, g2)
     if not compatible:
         return SearchResult("non_isomorphic", None, 0)
 
@@ -308,7 +294,7 @@ def find_isomorphism(
             continue
         placed[v] = True
         order.append(v)
-        for u in out1[v].keys() | in1[v].keys():
+        for u in out1[v] + in1[v]:
             if not placed[u]:
                 heapq.heappush(heap, (0, class_size[colors1[u]], u))
 
@@ -316,26 +302,20 @@ def find_isomorphism(
     inverse = [-1] * n
     expansions = 0
 
+    def images(nbrs1: list[int]) -> list[int]:
+        return sorted(mapping[u] for u in nbrs1 if mapping[u] != -1)
+
+    def preimaged(nbrs2: list[int]) -> list[int]:
+        return sorted(u for u in nbrs2 if inverse[u] != -1)
+
+    # Arcs to and from mapped vertices must correspond with multiplicity.
+    # Loops need no check of their own: v1 and v2 share a stable color,
+    # and the initial color already counts loops.
     def consistent(v1: int, v2: int) -> bool:
-        if out1[v1][v1] != out2[v2][v2]:
-            return False
-        for u1, count in out1[v1].items():
-            u2 = mapping[u1]
-            if u2 != -1 and out2[v2][u2] != count:
-                return False
-        for u1, count in in1[v1].items():
-            u2 = mapping[u1]
-            if u2 != -1 and in2[v2][u2] != count:
-                return False
-        for u2, count in out2[v2].items():
-            u1 = inverse[u2]
-            if u1 != -1 and out1[v1][u1] != count:
-                return False
-        for u2, count in in2[v2].items():
-            u1 = inverse[u2]
-            if u1 != -1 and in1[v1][u1] != count:
-                return False
-        return True
+        return (
+            images(out1[v1]) == preimaged(out2[v2])
+            and images(in1[v1]) == preimaged(in2[v2])
+        )
 
     def candidates(depth: int) -> Iterator[int]:
         return iter(candidates_by_color[colors1[order[depth]]])

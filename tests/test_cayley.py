@@ -206,6 +206,27 @@ def test_digraph_rejects_out_of_range_arcs():
         UnlabelledDigraph(2, ((0, 2),))
 
 
+def test_digraph_adjacency_follows_the_arcs():
+    arcs = ((0, 0), (0, 1), (2, 1), (0, 1), (1, 0), (0, 0))
+    g = UnlabelledDigraph(3, arcs)
+    assert g.out == [[0, 1, 1, 0], [0], [1]]
+    assert g.inc == [[0, 1, 0], [0, 2, 0], []]
+    for v in range(g.n):
+        assert Counter(g.out[v]) == Counter(d for s, d in arcs if s == v)
+        assert Counter(g.inc[v]) == Counter(s for s, d in arcs if d == v)
+
+
+def test_digraph_adjacency_stays_out_of_equality_hash_and_repr():
+    first = UnlabelledDigraph(2, ((0, 1), (1, 1)))
+    second = UnlabelledDigraph(2, ((0, 1), (1, 1)))
+    assert first == second
+    assert hash(first) == hash(second)
+    assert first != UnlabelledDigraph(2, ((0, 1),))
+    assert repr(first) == "UnlabelledDigraph(n=2, arcs=((0, 1), (1, 1)))"
+    with pytest.raises(TypeError):
+        UnlabelledDigraph(1, (), out=[[]])
+
+
 def test_dot_export(sys_m):
     dot = export_dot(build_ball(sys_m, "right", 0, "closed"))
     node_lines = [l for l in dot.splitlines() if "label=" in l and "->" not in l]
@@ -213,6 +234,26 @@ def test_dot_export(sys_m):
     dot2 = export_dot(build_ball(sys_m, "right", 2, "closed"))
     node_lines2 = [l for l in dot2.splitlines() if "label=" in l and "->" not in l]
     assert len(node_lines2) == 7
+
+
+def test_dot_export_builtin_is_pinned(sys_n):
+    dot = export_dot(build_ball(sys_n, "left", 1, "with_frontier"))
+    assert dot == """digraph {
+  v0 [label="ε"];
+  v1 [label="c"];
+  v2 [label="d"];
+  v0 -> v1 [label="c"];
+  v0 -> v2 [label="d"];
+  f0 [label="cc", style=dashed];
+  v1 -> f0 [label="c", style=dashed];
+  f1 [label="dc", style=dashed];
+  v1 -> f1 [label="d", style=dashed];
+  f2 [label="cd", style=dashed];
+  v2 -> f2 [label="c", style=dashed];
+  f3 [label="dd", style=dashed];
+  v2 -> f3 [label="d", style=dashed];
+}
+"""
 
 
 def test_dot_export_digraph():

@@ -172,6 +172,52 @@ def test_undecodable_presentation_names_the_path(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("relative", ["missing/x.dot", "."])
+def test_ball_unwritable_output_is_usage_error(capsys, tmp_path, relative):
+    target = tmp_path / relative
+    code, out, err = run(
+        capsys, "ball", "-p", "builtin:M", "--radius", "2", "-o", str(target)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
+def test_ball_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
+    path = tmp_path / "quotes.txt"
+    path.write_text('alphabet " \\ a\nrule " \\ -> a\n', encoding="utf-8")
+    code, out, err = run(
+        capsys, "ball", "-p", str(path), "--radius", "1", "--format", "dot",
+        "--policy", "with-frontier",
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert '  v1 [label="\\""];' in lines
+    assert '  v2 [label="\\\\"];' in lines
+    assert '  v0 -> v1 [label="\\""];' in lines
+    assert '  f0 [label="\\"\\"", style=dashed];' in lines
+    assert '  v1 -> f0 [label="\\"", style=dashed];' in lines
+    assert '  f2 [label="\\\\\\"", style=dashed];' in lines
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["verify-iso", "--radius", "abc"], "'abc'"),
+        (["truncation-test", "--n0", "x"], "'x'"),
+        (["ball", "-p", "builtin:M", "--radius", "1.5"], "'1.5'"),
+    ],
+)
+def test_bad_integer_arguments_name_the_value(capsys, argv, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"expected an integer, got {value}" in err
+    assert "_nonnegative_int" not in err
+    assert "_n0_value" not in err
+
+
 def test_verify_iso(capsys):
     code, out, _ = run(capsys, "verify-iso", "--radius", "5")
     assert code == 0

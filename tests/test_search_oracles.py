@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cayleyforge import UnlabelledDigraph, find_isomorphism
-from cayleyforge.isomorphism import _adjacency, _refine_colors
+from cayleyforge.isomorphism import _refine_colors
 
 import oracles
 
@@ -67,7 +67,7 @@ def _partition(colors1, colors2):
 @given(digraph_pairs())
 def test_refinement_matches_synchronous_rounds(pair):
     g1, g2 = (UnlabelledDigraph(*g) for g in pair)
-    colors1, colors2, _ = _refine_colors(_adjacency(g1), _adjacency(g2))
+    colors1, colors2, _ = _refine_colors(g1, g2)
     assert _partition(colors1, colors2) == oracles.refine_by_rounds(list(pair))
 
 
