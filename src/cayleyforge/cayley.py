@@ -7,7 +7,9 @@ directed distance from the identity, so this vertex set is exactly the
 directed ball of that radius.  Edges follow one generator: ``x -> x.g``
 on the right side, ``x -> g.x`` on the left.  A target that reduces
 back inside the ball becomes an edge; a target outside is either
-dropped (``closed``) or recorded (``with_frontier``).
+dropped (``closed``) or recorded (``with_frontier``).  The ball is
+built from the system's left-side automaton and reduces no word;
+:func:`edge_target` is the reduction-based reference for its edges.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .normal_forms import enumerate_normal_forms
+from .normal_forms import _irreducible_words
 from .rewriting import (
     IncompleteSystemError,
     RewritingSystem,
@@ -69,13 +71,12 @@ class UnlabelledDigraph:
         object.__setattr__(self, "inc", inc)
 
 
-def _product(v: Word, g: str, side: str) -> Word:
-    """The unreduced word ``v.g`` (right) or ``g.v`` (left)."""
-    return v + g if side == "right" else g + v
-
-
 def edge_target(system: RewritingSystem, v: Word, g: str, side: str = "right") -> Word:
-    """Normal form of ``v.g`` (right) or ``g.v`` (left)."""
+    """Normal form of ``v.g`` (right) or ``g.v`` (left), by reduction.
+
+    This is the reference that :func:`build_ball`'s edges are tested
+    against.
+    """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     if g not in system.alphabet:
@@ -84,7 +85,7 @@ def edge_target(system: RewritingSystem, v: Word, g: str, side: str = "right") -
         )
     if not is_irreducible(system, v):
         raise ValueError(f"vertex word {v!r} is not irreducible")
-    return normal_form(system, _product(v, g, side))
+    return normal_form(system, v + g if side == "right" else g + v)
 
 
 def build_ball(
@@ -93,9 +94,39 @@ def build_ball(
     """Construct the ball of the given radius around the identity.
 
     Needs a certified system.  Edges and frontier targets are listed by
-    source vertex, then by generator in alphabet order.  A product that
-    is already a ball vertex is irreducible, so only the other products
-    are reduced.
+    source vertex, then by generator in alphabet order.
+
+    No word is reduced.  The automaton of the side reads each vertex
+    ``v`` in the direction its products grow: ``system.automaton``
+    reads it forwards on the right, ``system.mirror.automaton``
+    backwards on the left.  Then the product ``v.g`` (``g.v``) reads as
+    the reading of ``v`` plus ``g``, one transition from the state of
+    ``v``, and that state is one transition from the state of the
+    shorter vertex ``v[:-1]`` (``v[1:]``).  If the product's state names
+    no rule, the product is irreducible: a vertex when ``|v| < radius``,
+    otherwise a target outside the ball.  If it names a rule, the
+    product reads as ``x.l``, with ``l`` the rule's left side as that
+    automaton reads it and ``x`` the reading of a prefix (suffix) of
+    ``v``, hence of a vertex.  The target is reached from ``x`` along
+    the edges labelled by the rule's right side ``r`` as read.
+
+    *Length-reducing.*  Vertices are visited in shortlex order.  Walking
+    from ``x``, the vertex reached after ``i < |r|`` edges has length at
+    most ``|x| + i <= |x| + |r| - 1 <= |x| + |l| - 2 = |v| - 1``, since
+    ``|r| < |l|``.  So every edge taken leaves a vertex shorter than
+    ``v``, which has all its edges already, and they stay in the ball;
+    the final target has length at most ``|x| + |r| <= |v|`` and is in
+    the ball too.
+
+    *Certified.*  By induction along shortlex order, the stored
+    ``h``-edge of each shorter vertex ``y`` leads to the normal form of
+    ``y.h`` (``h.y``), so the walk ends at an irreducible word that
+    ``x.r`` (``r.x``, with ``x`` and ``r`` as words) rewrites to, and
+    ``x.r`` is one rewrite from the product.  The certificate attests
+    that the system is confluent (for schemas, up to its bound), and on
+    a confluent system every word has one normal form, whatever the
+    order of rewrites; so the target is ``normal_form(v.g)``
+    (``normal_form(g.v)``).
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
@@ -107,23 +138,45 @@ def build_ball(
         raise IncompleteSystemError(
             "build_ball needs a certified system; call certify() first"
         )
-    vertices = tuple(enumerate_normal_forms(system, radius))
-    index = {w: i for i, w in enumerate(vertices)}
+    right = side == "right"
+    automaton = (system if right else system.mirror).automaton
+    vertices, states = _irreducible_words(system, radius)
+    # Each vertex as its automaton reads it: forwards on the right,
+    # backwards on the left.
+    reads = vertices if right else [v[::-1] for v in vertices]
+    index = {r: i for i, r in enumerate(reads)}
+    if not right:
+        states = [automaton.start]
+        for r in reads[1:]:
+            states.append(
+                automaton.step(states[index[r[:-1]]], automaton.symbol_ids[r[-1]])
+            )
+    width = len(system.alphabet)
+    targets: list[int] = []  # targets[src * width + symbol]; -1 outside the ball
     edges: list[tuple[int, int, str]] = []
     frontier: list[tuple[int, str, Word]] = []
-    for src, v in enumerate(vertices):
-        for g in system.alphabet:
-            product = _product(v, g, side)
-            dst = index.get(product)
-            if dst is None:
-                target = normal_form(system, product)
-                if len(target) > radius:
+    for src, r in enumerate(reads):
+        state = states[src]
+        for symbol, g in enumerate(system.alphabet):
+            nxt = automaton.step(state, symbol)
+            product = r + g
+            if nxt.rule is None:
+                if len(r) == radius:
+                    targets.append(-1)
                     if policy == "with_frontier":
-                        frontier.append((src, g, target))
+                        frontier.append((src, g, product if right else product[::-1]))
                     continue
-                dst = index[target]
+                dst = index[product]
+            else:
+                length = automaton.match_length(nxt.rule, product)
+                dst = index[product[: len(product) - length]]
+                for h in automaton.rhs_ids[nxt.rule]:
+                    dst = targets[dst * width + h]
+            targets.append(dst)
             edges.append((src, dst, g))
-    return CayleyBall(side, radius, policy, vertices, tuple(edges), tuple(frontier))
+    return CayleyBall(
+        side, radius, policy, tuple(vertices), tuple(edges), tuple(frontier)
+    )
 
 
 def strip_labels(ball: CayleyBall) -> UnlabelledDigraph:

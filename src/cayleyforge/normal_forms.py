@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .presentations import system_m, system_n
 from .rewriting import (
+    AutomatonState,
     IncompleteSystemError,
     RewritingSystem,
     Word,
@@ -58,8 +59,8 @@ def _run_length(w: Word, start: int, ch: str) -> int:
 
 
 def _require_irreducible(system: RewritingSystem, w: Word) -> None:
-    match = first_match(system, w)
-    if match is not None:
+    if not is_irreducible(system, w):
+        match = first_match(system, w)
         raise ClassificationError(
             f"word {w!r} is reducible: {describe_match(system, match)}"
         )
@@ -235,30 +236,43 @@ def n_to_m(w: Word) -> Word:
     return "b" * nf.p + cd_to_ab(nf.v) + "b" * t
 
 
-def enumerate_normal_forms(system: RewritingSystem, max_len: int) -> list[Word]:
-    """All irreducible words of length up to ``max_len`` in shortlex order.
+def _irreducible_words(
+    system: RewritingSystem, max_len: int
+) -> tuple[list[Word], list[AutomatonState]]:
+    """All irreducible words of length up to ``max_len`` in shortlex
+    order, each with the state of ``system.automaton`` it ends in.
 
-    Grows words one symbol at a time, keeping only irreducible
-    extensions; this is exact because a factor occurring in a prefix
-    occurs in the whole word, so prefixes of irreducible words are
-    irreducible.
+    A breadth-first search over the automaton's transitions: a word's
+    extensions ``w.g`` are read off the state of ``w`` in one step each,
+    and the irreducible ones are kept.  This is exact because a factor
+    occurring in a prefix occurs in the whole word, so prefixes of
+    irreducible words are irreducible.
     """
+    automaton = system.automaton
+    words: list[Word] = [""]
+    states = [automaton.start]
+    begin = 0
+    for _ in range(max_len):
+        end = len(words)
+        for i in range(begin, end):
+            w, state = words[i], states[i]
+            for symbol, g in enumerate(system.alphabet):
+                nxt = automaton.step(state, symbol)
+                if nxt.rule is None:
+                    words.append(w + g)
+                    states.append(nxt)
+        if len(words) == end:
+            break
+        begin = end
+    return words, states
+
+
+def enumerate_normal_forms(system: RewritingSystem, max_len: int) -> list[Word]:
+    """All irreducible words of length up to ``max_len`` in shortlex order."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     if not system.is_certified:
         raise IncompleteSystemError(
             "enumerate_normal_forms needs a certified system; call certify() first"
         )
-    words: list[Word] = [""]
-    level: list[Word] = [""]
-    for _ in range(max_len):
-        level = [
-            w + g
-            for w in level
-            for g in system.alphabet
-            if is_irreducible(system, w + g)
-        ]
-        if not level:
-            break
-        words.extend(level)
-    return words
+    return _irreducible_words(system, max_len)[0]

@@ -13,13 +13,24 @@ one instance of the family.  Reduction applies the first match in
 (position, rule index) order; on a confluent system the final result is
 independent of that choice, and the fixed order keeps outputs stable.
 
-All values are immutable; every function is a pure function of its
-arguments and safe to call concurrently.
+Irreducibility is decided by a :class:`LeftSideAutomaton`, a matcher
+over all left sides that is determinised on demand.  A system builds
+it, and its :attr:`RewritingSystem.mirror`, the first time either is
+asked for, and keeps them; nothing is built at import or when a system
+is constructed or certified.  The automaton's transition table grows
+as words are read, but each new state is published whole, by a single
+dictionary insertion, before any transition points to it, so a reader
+never sees a partly built state.  Results never depend on what has been
+cached.
+
+All values are otherwise immutable; every function is a pure function
+of its arguments and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 __all__ = [
@@ -27,6 +38,8 @@ __all__ = [
     "RewriteRule",
     "RuleSchema",
     "RewritingSystem",
+    "LeftSideAutomaton",
+    "AutomatonState",
     "Match",
     "ReductionStep",
     "LengthReport",
@@ -177,6 +190,143 @@ class RewritingSystem:
             return str(self.rules[index])
         return str(self.schemas[index - len(self.rules)])
 
+    @cached_property
+    def automaton(self) -> LeftSideAutomaton:
+        """The matcher over this system's left sides, built on first use."""
+        return LeftSideAutomaton(self)
+
+    @cached_property
+    def mirror(self) -> RewritingSystem:
+        """The system of reversed rules: ``u -> v`` here exactly when
+        ``reversed(u) -> reversed(v)`` there.  A schema's prefix and
+        suffix swap and are reversed.  The certificate carries over,
+        since reversal maps critical pairs to critical pairs."""
+        return RewritingSystem(
+            self.alphabet,
+            tuple(RewriteRule(r.lhs[::-1], r.rhs[::-1]) for r in self.rules),
+            tuple(
+                RuleSchema(s.suffix[::-1], s.pumped, s.min_exponent,
+                           s.prefix[::-1], s.rhs[::-1])
+                for s in self.schemas
+            ),
+            self.certified_bound,
+        )
+
+
+class AutomatonState:
+    """A state of a :class:`LeftSideAutomaton`.
+
+    ``rule`` is the lowest combined index of a left side that ends where
+    the word read so far ends, or None if no left side does.
+    ``next[j]`` is the state after one more symbol with id ``j``, or
+    None until :meth:`LeftSideAutomaton.step` has computed it.
+    """
+
+    __slots__ = ("positions", "rule", "next")
+
+    def __init__(self, positions: frozenset[int], rule: int | None, width: int) -> None:
+        self.positions = positions
+        self.rule = rule
+        self.next: list[AutomatonState | None] = [None] * width
+
+
+class LeftSideAutomaton:
+    """Aho–Corasick-style matcher over the left sides of a system,
+    determinised on demand.
+
+    The underlying NFA has one trie for all concrete left sides, so a
+    shared prefix is one node, and one chain per schema
+    ``p c^k c* s``, with a loop on ``c`` after ``k`` copies.  Reading a
+    word from :attr:`start` restarts every chain at every position, so
+    the state reached is the set of NFA positions that some suffix of
+    the word leads to, and its ``rule`` names a left side ending there.
+    A word is irreducible exactly when no prefix of it reaches a state
+    that names a rule.  A state and each transition are computed the
+    first time they are needed.
+
+    Symbols are given by their id, the position in the alphabet.
+    """
+
+    def __init__(self, system: RewritingSystem) -> None:
+        ids = {g: j for j, g in enumerate(system.alphabet)}
+        moves: list[dict[int, int]] = []  # NFA position -> symbol id -> position
+        accepts: list[int | None] = []  # lowest rule index ending at a position
+
+        def new_position() -> int:
+            moves.append({})
+            accepts.append(None)
+            return len(moves) - 1
+
+        def extend(pos: int, word: str) -> int:
+            for ch in word:
+                nxt = moves[pos].get(ids[ch])
+                if nxt is None:
+                    nxt = moves[pos][ids[ch]] = new_position()
+                pos = nxt
+            return pos
+
+        root = new_position()
+        initial = [root]
+        for i, rule in enumerate(system.rules):
+            end = extend(root, rule.lhs)
+            if accepts[end] is None:
+                accepts[end] = i
+        for j, schema in enumerate(system.schemas):
+            initial.append(new_position())
+            run = extend(initial[-1], schema.prefix + schema.pumped * schema.min_exponent)
+            moves[run][ids[schema.pumped]] = run
+            accepts[extend(run, schema.suffix)] = len(system.rules) + j
+
+        self.symbol_ids = ids
+        self.rhs_ids = tuple(
+            tuple(ids[ch] for ch in rhs)
+            for rhs in [r.rhs for r in system.rules] + [s.rhs for s in system.schemas]
+        )
+        self._rules = system.rules
+        self._schemas = system.schemas
+        self._moves = moves
+        self._accepts = accepts
+        self._initial = frozenset(initial)
+        self._states: dict[frozenset[int], AutomatonState] = {}
+        self.start = self._state(self._initial)
+
+    def _state(self, positions: frozenset[int]) -> AutomatonState:
+        state = self._states.get(positions)
+        if state is None:
+            named = [self._accepts[p] for p in positions if self._accepts[p] is not None]
+            state = AutomatonState(
+                positions, min(named) if named else None, len(self.symbol_ids)
+            )
+            state = self._states.setdefault(positions, state)
+        return state
+
+    def step(self, state: AutomatonState, symbol: int) -> AutomatonState:
+        """The state after reading symbol id ``symbol`` in ``state``."""
+        target = state.next[symbol]
+        if target is None:
+            moves = self._moves
+            target = self._state(
+                self._initial.union(
+                    moves[p][symbol] for p in state.positions if symbol in moves[p]
+                )
+            )
+            state.next[symbol] = target
+        return target
+
+    def match_length(self, rule: int, word: Word) -> int:
+        """Length of the left side of ``rule`` that ends ``word``, where
+        reading ``word`` ends in a state that names ``rule``.
+
+        A schema's length counts the full pumped run before its suffix,
+        as a match found by scanning would.
+        """
+        if rule < len(self._rules):
+            return len(self._rules[rule].lhs)
+        schema = self._schemas[rule - len(self._rules)]
+        run_end = len(word) - len(schema.suffix)
+        run_start = len(word[:run_end].rstrip(schema.pumped))
+        return len(word) - run_start + len(schema.prefix)
+
 
 @dataclass(frozen=True)
 class Match:
@@ -294,7 +444,23 @@ def normal_form(system: RewritingSystem, w: Word) -> Word:
 
 
 def is_irreducible(system: RewritingSystem, w: Word) -> bool:
-    return first_match(system, w) is None
+    """Whether no left side occurs in ``w``; equal to
+    ``first_match(system, w) is None``, read off the system's automaton.
+
+    Raises ValueError, as :meth:`RewritingSystem.check_word` does, if
+    ``w`` uses a symbol outside the alphabet, even after a left side.
+    """
+    automaton = system.automaton
+    state = automaton.start
+    for i, ch in enumerate(w):
+        symbol = automaton.symbol_ids.get(ch)
+        if symbol is None:
+            system.check_word(ch)  # raises ValueError
+        state = automaton.step(state, symbol)
+        if state.rule is not None:
+            system.check_word(w[i + 1 :])
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,39 @@ def irreducible_words_by_filter(system, schema_bound, max_len):
     ]
 
 
+def reduce_by_scanning(word, rules):
+    """Rewrite the leftmost occurrence of the first rule that occurs,
+    until no rule does."""
+    while True:
+        for lhs, rhs in rules:
+            k = word.find(lhs)
+            if k >= 0:
+                word = word[:k] + rhs + word[k + len(lhs) :]
+                break
+        else:
+            return word
+
+
+def ball_by_reduction(system, side, radius, policy):
+    """``(vertices, edges, frontier)`` of a Cayley ball: the irreducible
+    words up to ``radius`` in shortlex order, and each product ``v.g``
+    (right) or ``g.v`` (left) reduced by :func:`reduce_by_scanning`,
+    as an edge when it lands in the ball and otherwise as a frontier
+    target under the ``with_frontier`` policy."""
+    vertices = tuple(irreducible_words_by_filter(system, radius, radius))
+    rules = concrete_rules(system, radius + 1)  # every instance a product can hold
+    index = {w: i for i, w in enumerate(vertices)}
+    edges, frontier = [], []
+    for src, v in enumerate(vertices):
+        for g in system.alphabet:
+            target = reduce_by_scanning(v + g if side == "right" else g + v, rules)
+            if target in index:
+                edges.append((src, index[target], g))
+            elif policy == "with_frontier":
+                frontier.append((src, g, target))
+    return vertices, tuple(edges), tuple(frontier)
+
+
 def critical_sources_by_scan(rules):
     """Critical-pair multiset found by scanning whole words.
 

@@ -1,0 +1,150 @@
+"""The left-side automaton against the first-match scanner, and the
+balls and enumerations built from it against naive oracles."""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cayleyforge import (
+    NotConfluentError,
+    RewriteRule,
+    RewritingSystem,
+    RuleSchema,
+    build_ball,
+    certify,
+    enumerate_normal_forms,
+    find_matches,
+    first_match,
+    is_irreducible,
+    parse_presentation,
+    system_m,
+    system_n,
+)
+from cayleyforge import cayley, rewriting
+
+import oracles
+
+
+@st.composite
+def systems(draw, max_rules=3, max_schemas=2, length_reducing=False):
+    """Random systems over two or three symbols, of rules and schemas
+    whose prefix or suffix may be empty; neither confluent nor, unless
+    asked, length-reducing."""
+    alphabet = draw(st.sampled_from(["ab", "abc"]))
+
+    def word(lo, hi):
+        return draw(st.text(alphabet=alphabet, min_size=lo, max_size=max(lo, hi)))
+
+    rules = []
+    for _ in range(draw(st.integers(0, max_rules))):
+        lhs = word(1, 4)
+        rules.append(RewriteRule(lhs, word(0, len(lhs) - 1 if length_reducing else 4)))
+    schemas = []
+    for _ in range(draw(st.integers(0 if rules else 1, max_schemas))):
+        pumped = draw(st.sampled_from(alphabet))
+        prefix, suffix = word(0, 2).rstrip(pumped), word(0, 2).lstrip(pumped)
+        k = draw(st.integers(1, 3))
+        rhs = word(0, len(prefix) + k + len(suffix) - 1 if length_reducing else 3)
+        schemas.append(RuleSchema(prefix, pumped, k, suffix, rhs))
+    return RewritingSystem(tuple(alphabet), tuple(rules), tuple(schemas))
+
+
+RADIUS_BOUND = 6
+CERTIFY_BOUND = RADIUS_BOUND + 2  # every schema instance a ball product can hold
+
+
+@st.composite
+def certified_systems(draw):
+    """A random length-reducing system that certifies, or else the first
+    of its single-rule subsystems that does."""
+    system = draw(systems(max_rules=2, max_schemas=1, length_reducing=True))
+    singles = [RewritingSystem(system.alphabet, (r,)) for r in system.rules]
+    singles += [RewritingSystem(system.alphabet, (), (s,)) for s in system.schemas]
+    for candidate in [system] + singles:
+        try:
+            return certify(candidate, CERTIFY_BOUND)
+        except NotConfluentError:
+            pass
+    return draw(st.nothing())
+
+
+def words_over(alphabet, max_size):
+    return st.text(alphabet="".join(alphabet), max_size=max_size)
+
+
+@given(systems(), st.data())
+def test_irreducibility_agrees_with_first_match(system, data):
+    for w in data.draw(st.lists(words_over(system.alphabet, 12), max_size=8)):
+        expected = first_match(system, w) is None
+        assert is_irreducible(system, w) == expected
+        assert is_irreducible(system.mirror, w[::-1]) == expected
+
+
+@given(systems(), st.data())
+def test_named_rule_is_the_lowest_ending_there(system, data):
+    """At the first state that names a rule, the rule is the lowest
+    index among the matches ending there, and its length is that of the
+    longest such match."""
+    automaton = system.automaton
+    w = data.draw(words_over(system.alphabet, 12))
+    state = automaton.start
+    for end in range(1, len(w) + 1):
+        state = automaton.step(state, automaton.symbol_ids[w[end - 1]])
+        if state.rule is not None:
+            break
+    else:
+        assert first_match(system, w) is None
+        return
+    prefix = w[:end]
+    ending = [m for m in find_matches(system, prefix) if m.position + m.matched_length == end]
+    lowest = min(m.rule_index for m in ending)
+    assert state.rule == lowest
+    longest = max(m.matched_length for m in ending if m.rule_index == lowest)
+    assert automaton.match_length(state.rule, prefix) == longest
+
+
+@settings(deadline=None)
+@given(certified_systems(), st.integers(0, RADIUS_BOUND))
+def test_enumeration_matches_filter_oracle(system, max_len):
+    expected = oracles.irreducible_words_by_filter(system, CERTIFY_BOUND, max_len)
+    assert enumerate_normal_forms(system, max_len) == expected
+
+
+@settings(deadline=None)
+@given(
+    certified_systems(),
+    st.sampled_from(["right", "left"]),
+    st.sampled_from(["closed", "with_frontier"]),
+    st.integers(0, RADIUS_BOUND),
+)
+def test_ball_matches_reduction_oracle(system, side, policy, radius):
+    ball = build_ball(system, side, radius, policy)
+    expected = oracles.ball_by_reduction(system, side, radius, policy)
+    assert (ball.vertices, ball.edges, ball.frontier) == expected
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("build_ball reduced a word")
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("factory", [system_m, system_n])
+def test_ball_reduces_no_word(monkeypatch, factory, side):
+    expected = build_ball(factory(), side, 9, "with_frontier")
+    fresh = dataclasses.replace(factory())  # no automaton built yet
+    monkeypatch.setattr(rewriting, "iter_matches", _refuse)
+    monkeypatch.setattr(rewriting, "normal_form", _refuse)
+    monkeypatch.setattr(cayley, "normal_form", _refuse)
+    assert build_ball(fresh, side, 9, "with_frontier") == expected
+
+
+def test_automaton_is_built_on_first_use():
+    text = "alphabet a b\nrule a b{n} a -> a b a where n >= 2\n"
+    for fresh in (system_m.__wrapped__(), system_n.__wrapped__(),
+                  certify(parse_presentation(text), 12)):
+        assert "automaton" not in vars(fresh) and "mirror" not in vars(fresh)
+        enumerate_normal_forms(fresh, 3)
+        assert "automaton" in vars(fresh) and "mirror" not in vars(fresh)
+        build_ball(fresh, "left", 3)
+        assert "automaton" in vars(fresh.mirror)

@@ -86,6 +86,14 @@ def test_is_irreducible(sys_m, sys_n):
     assert is_irreducible(sys_n, "cdddc")
 
 
+@pytest.mark.parametrize("word", ["xab", "abbax"])
+def test_is_irreducible_rejects_foreign_symbol(sys_m, word):
+    """Also after ``abba``, a factor that already matches."""
+    with pytest.raises(ValueError) as excinfo:
+        is_irreducible(sys_m, word)
+    assert str(excinfo.value) == "symbol 'x' is not in the alphabet {a, b}"
+
+
 def test_reduction_steps_record_rule_and_position(sys_m):
     steps = reduction_steps(sys_m, "abbabba")
     assert [s.result for s in steps] == ["ababba", "ababa"]
