@@ -6,11 +6,9 @@ from .cayley import (
     Fingerprint,
     UnlabelledDigraph,
     build_ball,
-    edge_target,
     export_dot,
     export_json,
     graph_invariants,
-    import_ball_json,
     strip_labels,
 )
 from .confluence import (
@@ -60,14 +58,12 @@ from .presentations import (
 )
 from .rewriting import (
     IncompleteSystemError,
-    LengthReport,
     Match,
     ReductionStep,
     RewriteRule,
     RewritingSystem,
     RuleSchema,
     Word,
-    apply_match,
     check_length_reducing,
     describe_match,
     find_matches,
@@ -75,7 +71,6 @@ from .rewriting import (
     is_irreducible,
     normal_form,
     reduction_steps,
-    single_step,
 )
 
 __version__ = "0.1.0"

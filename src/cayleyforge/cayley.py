@@ -8,8 +8,7 @@ directed ball of that radius.  Edges follow one generator: ``x -> x.g``
 on the right side, ``x -> g.x`` on the left.  A target that reduces
 back inside the ball becomes an edge; a target outside is either
 dropped (``closed``) or recorded (``with_frontier``).  The ball is
-built from the system's left-side automaton and reduces no word;
-:func:`edge_target` is the reduction-based reference for its edges.
+built from the system's left-side automaton and reduces no word.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from .rewriting import (
     IncompleteSystemError,
     RewritingSystem,
     Word,
-    is_irreducible,
-    normal_form,
     show_word,
 )
 
@@ -69,23 +66,6 @@ class UnlabelledDigraph:
             inc[dst].append(src)
         object.__setattr__(self, "out", out)
         object.__setattr__(self, "inc", inc)
-
-
-def edge_target(system: RewritingSystem, v: Word, g: str, side: str = "right") -> Word:
-    """Normal form of ``v.g`` (right) or ``g.v`` (left), by reduction.
-
-    This is the reference that :func:`build_ball`'s edges are tested
-    against.
-    """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    if g not in system.alphabet:
-        raise ValueError(
-            f"generator {g!r} is not in the alphabet {{{', '.join(system.alphabet)}}}"
-        )
-    if not is_irreducible(system, v):
-        raise ValueError(f"vertex word {v!r} is not irreducible")
-    return normal_form(system, v + g if side == "right" else g + v)
 
 
 def build_ball(
@@ -275,19 +255,3 @@ def export_json(obj: CayleyBall | UnlabelledDigraph) -> str:
     else:
         raise TypeError(f"cannot export {type(obj).__name__} as JSON")
     return json.dumps(payload, ensure_ascii=False)
-
-
-def import_ball_json(text: str) -> CayleyBall:
-    """Inverse of :func:`export_json` for balls."""
-    payload = json.loads(text)
-    try:
-        return CayleyBall(
-            side=payload["side"],
-            radius=payload["radius"],
-            policy=payload["policy"],
-            vertices=tuple(payload["vertices"]),
-            edges=tuple((s, d, g) for s, d, g in payload["edges"]),
-            frontier=tuple((s, g, t) for s, g, t in payload["frontier"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed ball JSON: {exc}") from exc

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success or property verified, 1 a checked property failed,
 2 usage or presentation errors, or an output file that cannot be
-written.  All output is deterministic.
+written, 3 an internal error (a bug, reported without a traceback).
+All output is deterministic.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .rewriting import (
 EXIT_OK = 0
 EXIT_PROPERTY_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _integer(text: str) -> int:
@@ -77,7 +79,6 @@ def _emit(text: str, output: str | None) -> None:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     system = load_presentation(args.presentation)
-    system.check_word(args.word)
     steps = reduction_steps(system, args.word)
     result = steps[-1].result if steps else args.word
     if args.format == "json":
@@ -316,6 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -134,9 +134,9 @@ def check_local_confluence(
 
     The system must be length-reducing (reduction must terminate).
     """
-    length_report = check_length_reducing(system)
-    if not length_report.passed:
-        bad = ", ".join(system.label(i) for i in length_report.failing)
+    failing = check_length_reducing(system)
+    if failing:
+        bad = ", ".join(system.label(i) for i in failing)
         raise ValueError(f"system is not length-reducing: {bad}")
     pairs = critical_pairs(system, schema_bound)
     failures = []

@@ -210,9 +210,9 @@ def parse_presentation(text: str) -> RewritingSystem:
     if alphabet is None:
         raise PresentationError("no alphabet declaration")
     system = RewritingSystem(alphabet, tuple(rules), tuple(schemas))
-    report = check_length_reducing(system)
-    if not report.passed:
-        bad = "; ".join(system.label(i) for i in report.failing)
+    failing = check_length_reducing(system)
+    if failing:
+        bad = "; ".join(system.label(i) for i in failing)
         raise PresentationError(f"rules must be length-reducing, offending: {bad}")
     return system
 

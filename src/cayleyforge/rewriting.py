@@ -42,13 +42,10 @@ __all__ = [
     "AutomatonState",
     "Match",
     "ReductionStep",
-    "LengthReport",
     "IncompleteSystemError",
     "find_matches",
     "first_match",
-    "apply_match",
     "describe_match",
-    "single_step",
     "reduction_steps",
     "normal_form",
     "is_irreducible",
@@ -359,8 +356,10 @@ def _match_schema(schema: RuleSchema, w: Word, pos: int) -> tuple[int, int] | No
 
 
 def iter_matches(system: RewritingSystem, w: Word) -> Iterator[Match]:
-    """Yield every match in ``w`` in (position, rule index) order."""
-    system.check_word(w)
+    """Yield every match in ``w`` in (position, rule index) order.
+
+    ``w`` is not checked against the alphabet; callers check it once.
+    """
     n_rules = len(system.rules)
     for pos in range(len(w)):
         for idx, rule in enumerate(system.rules):
@@ -378,20 +377,13 @@ def find_matches(system: RewritingSystem, w: Word) -> list[Match]:
 
     Schema matches report the full pumped run at their position.
     """
+    system.check_word(w)
     return list(iter_matches(system, w))
 
 
 def first_match(system: RewritingSystem, w: Word) -> Match | None:
+    system.check_word(w)
     return next(iter_matches(system, w), None)
-
-
-def apply_match(system: RewritingSystem, w: Word, match: Match) -> Word:
-    """Rewrite the matched factor of ``w`` with the rule's right side."""
-    if match.rule_index < len(system.rules):
-        rhs = system.rules[match.rule_index].rhs
-    else:
-        rhs = system.schemas[match.rule_index - len(system.rules)].rhs
-    return w[: match.position] + rhs + w[match.position + match.matched_length :]
 
 
 def describe_match(system: RewritingSystem, match: Match) -> str:
@@ -399,14 +391,6 @@ def describe_match(system: RewritingSystem, match: Match) -> str:
     if match.exponent is not None:
         text += f" (n={match.exponent})"
     return text
-
-
-def single_step(system: RewritingSystem, w: Word) -> Word | None:
-    """Apply the first match, or return None if ``w`` is irreducible."""
-    match = first_match(system, w)
-    if match is None:
-        return None
-    return apply_match(system, w, match)
 
 
 @dataclass(frozen=True)
@@ -420,14 +404,21 @@ def reduction_steps(system: RewritingSystem, w: Word) -> list[ReductionStep]:
 
     Every step must strictly shorten the word; a step that does not is
     refused so that a non-length-reducing system cannot loop here.
+    ``w`` is checked against the alphabet once; every later word holds
+    only its symbols and right sides, which the system has checked.
     """
+    system.check_word(w)
+    n_rules = len(system.rules)
     steps: list[ReductionStep] = []
     current = w
     while True:
-        match = first_match(system, current)
+        match = next(iter_matches(system, current), None)
         if match is None:
             return steps
-        nxt = apply_match(system, current, match)
+        i = match.rule_index
+        rhs = system.rules[i].rhs if i < n_rules else system.schemas[i - n_rules].rhs
+        end = match.position + match.matched_length
+        nxt = current[: match.position] + rhs + current[end:]
         if len(nxt) >= len(current):
             raise ValueError(
                 f"rule {system.label(match.rule_index)} did not shorten the word; "
@@ -463,18 +454,10 @@ def is_irreducible(system: RewritingSystem, w: Word) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LengthReport:
-    """Outcome of the length-reducing check over all rules and schemas."""
-
-    passed: bool
-    failing: tuple[int, ...]
-    checked: int
-
-
-def check_length_reducing(system: RewritingSystem) -> LengthReport:
-    """Verify every rule, and every schema at its minimal exponent,
-    strictly shortens the word.  Failing combined indices are listed.
+def check_length_reducing(system: RewritingSystem) -> tuple[int, ...]:
+    """The combined indices of the rules, and of the schemas at their
+    minimal exponent, that do not strictly shorten the word; empty when
+    every one does.
     """
     failing: list[int] = []
     for i, rule in enumerate(system.rules):
@@ -484,4 +467,4 @@ def check_length_reducing(system: RewritingSystem) -> LengthReport:
         shortest = len(schema.prefix) + schema.min_exponent + len(schema.suffix)
         if shortest <= len(schema.rhs):
             failing.append(len(system.rules) + j)
-    return LengthReport(not failing, tuple(failing), system.rule_count())
+    return tuple(failing)

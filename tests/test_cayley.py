@@ -1,5 +1,6 @@
 """Ball construction, label stripping, fingerprints and exports."""
 
+import json
 from collections import Counter, deque
 
 import pytest
@@ -10,31 +11,15 @@ from cayleyforge import (
     build_ball,
     classify_m,
     classify_n,
-    edge_target,
     export_dot,
     export_json,
     graph_invariants,
-    import_ball_json,
+    normal_form,
     strip_labels,
 )
 from cayleyforge.rewriting import IncompleteSystemError
 
 import oracles
-
-
-def test_edge_target_examples(sys_m, sys_n):
-    assert edge_target(sys_m, "abb", "a", "right") == "aba"
-    assert edge_target(sys_m, "abb", "a", "left") == "aabb"
-    assert edge_target(sys_n, "cddd", "c", "right") == "cdddc"
-
-
-def test_edge_target_validation(sys_m):
-    with pytest.raises(ValueError, match="generator"):
-        edge_target(sys_m, "ab", "c", "right")
-    with pytest.raises(ValueError, match="side"):
-        edge_target(sys_m, "ab", "a", "up")
-    with pytest.raises(ValueError, match="not irreducible"):
-        edge_target(sys_m, "abba", "a", "right")
 
 
 def test_ball_radius_zero(sys_m):
@@ -84,7 +69,7 @@ def test_ball_targets_are_reduced_products(sys_m, sys_n, side):
         found = [(src, g, ball.vertices[dst]) for src, dst, g in ball.edges]
         found += ball.frontier
         assert sorted(found) == sorted(
-            (src, g, edge_target(system, v, g, side))
+            (src, g, normal_form(system, v + g if side == "right" else g + v))
             for src, v in enumerate(ball.vertices)
             for g in system.alphabet
         )
@@ -270,6 +255,11 @@ def test_json_roundtrip(sys_m, sys_n):
         (sys_m, "left", "with_frontier"),
     ):
         ball = build_ball(system, side, 4, policy)
-        assert import_ball_json(export_json(ball)) == ball
-    with pytest.raises(ValueError, match="malformed"):
-        import_ball_json('{"side": "right"}')
+        assert json.loads(export_json(ball)) == {
+            "side": ball.side,
+            "radius": ball.radius,
+            "policy": ball.policy,
+            "vertices": list(ball.vertices),
+            "edges": [list(edge) for edge in ball.edges],
+            "frontier": [list(arc) for arc in ball.frontier],
+        }

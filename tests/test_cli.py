@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cayleyforge import cli
 from cayleyforge.cli import main
 
 NON_CONFLUENT = "alphabet a b\nrule a b -> a\nrule b a -> b\n"
@@ -243,6 +244,17 @@ def test_verify_iso_json(capsys):
     assert payload["explicit"]["status"] == "verified"
     assert payload["search"]["status"] == "isomorphic"
     assert sorted(payload["explicit"]["mapping"]) == list(range(15))
+
+
+def test_internal_error_exits_three_without_traceback(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("search produced an invalid certificate: test")
+
+    monkeypatch.setattr(cli, "find_isomorphism", broken)
+    code, out, err = run(capsys, "verify-iso", "--radius", "2")
+    assert code == 3
+    assert err == "internal error: search produced an invalid certificate: test\n"
+    assert "Traceback" not in err
 
 
 def test_truncation_test(capsys):

@@ -8,13 +8,13 @@ import sys
 import pytest
 
 from cayleyforge import (
+    CayleyBall,
     UnlabelledDigraph,
     build_ball,
     classify_m,
     export_json,
     find_isomorphism,
     graph_invariants,
-    import_ball_json,
     report_json,
     separate_left_graphs,
     strip_labels,
@@ -66,8 +66,8 @@ def test_verify_maps_concrete_edge(sys_m, sys_n):
 
 def test_verify_accepts_json_loaded_balls(sys_m, sys_n):
     ball_m, ball_n = _right_balls(sys_m, sys_n, 3)
-    reloaded_m = import_ball_json(export_json(ball_m))
-    reloaded_n = import_ball_json(export_json(ball_n))
+    reloaded_m = CayleyBall(**json.loads(export_json(ball_m)))
+    reloaded_n = CayleyBall(**json.loads(export_json(ball_n)))
     assert verify_explicit_iso(reloaded_m, reloaded_n).verified
 
 

@@ -21,7 +21,7 @@ def test_system_m_shape(sys_m):
     assert sys_m.alphabet == ("a", "b")
     assert sys_m.rules == ()
     assert sys_m.schemas == (RuleSchema("a", "b", 2, "a", "aba"),)
-    assert check_length_reducing(sys_m).passed
+    assert check_length_reducing(sys_m) == ()
     assert normal_form(sys_m, "abba") == "aba"
     assert is_irreducible(sys_m, "abab")
 

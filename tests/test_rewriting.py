@@ -1,4 +1,4 @@
-"""Matching, single steps, reduction and the length-reducing check."""
+"""Matching, reduction and the length-reducing check."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,13 +8,12 @@ from cayleyforge import (
     RewriteRule,
     RewritingSystem,
     RuleSchema,
-    apply_match,
     check_length_reducing,
     find_matches,
+    first_match,
     is_irreducible,
     normal_form,
     reduction_steps,
-    single_step,
     words_equal,
 )
 from cayleyforge.rewriting import IncompleteSystemError
@@ -51,17 +50,22 @@ def test_find_matches_orders_by_position_then_rule(sys_m):
 
 
 def test_find_matches_rejects_foreign_symbol(sys_n):
-    with pytest.raises(ValueError, match="not in the alphabet"):
-        find_matches(sys_n, "cadc")
+    """Also late in a word whose first factor already matches."""
+    for check in (find_matches, first_match, normal_form):
+        for word in ("cadc", "cddcdcdcda"):
+            with pytest.raises(ValueError) as excinfo:
+                check(sys_n, word)
+            assert str(excinfo.value) == "symbol 'a' is not in the alphabet {c, d}"
 
 
 def test_single_step(sys_n):
-    assert single_step(sys_n, "cddc") == "cdc"
-    assert single_step(sys_n, "cdddcc") == "cdc"
+    # the first rewrite of a reduction takes one step from the word
+    assert reduction_steps(sys_n, "cddc")[0].result == "cdc"
+    assert reduction_steps(sys_n, "cdddcc")[0].result == "cdc"
 
 
 def test_single_step_irreducible(sys_m):
-    assert single_step(sys_m, "bbb") is None
+    assert reduction_steps(sys_m, "bbb") == []
 
 
 def test_normal_form_examples(sys_m, sys_n):
@@ -101,17 +105,13 @@ def test_reduction_steps_record_rule_and_position(sys_m):
 
 
 def test_check_length_reducing_passes_builtin(sys_m, sys_n):
-    report_n = check_length_reducing(sys_n)
-    assert report_n.passed and report_n.checked == 4
-    report_m = check_length_reducing(sys_m)
-    assert report_m.passed  # shortest schema instance: length 4 > 3
+    assert check_length_reducing(sys_n) == () and sys_n.rule_count() == 4
+    assert check_length_reducing(sys_m) == ()  # shortest schema instance: length 4 > 3
 
 
 def test_check_length_reducing_failure_lists_rule():
     system = RewritingSystem(("a", "b"), (RewriteRule("a", "ab"),))
-    report = check_length_reducing(system)
-    assert not report.passed
-    assert report.failing == (0,)
+    assert check_length_reducing(system) == (0,)
 
 
 def test_reduction_refuses_non_shortening_rule():
@@ -140,8 +140,11 @@ def test_schema_rejects_ambiguous_run_boundary():
 
 
 def test_apply_match_splices_rhs(sys_n):
+    # a step splices the first match's rhs in place of its factor
     match = find_matches(sys_n, "dcddcd")[0]
-    assert apply_match(sys_n, "dcddcd", match) == "dcdcd"
+    [step] = reduction_steps(sys_n, "dcddcd")
+    assert step.match == match
+    assert step.result == "dcdcd"
 
 
 @given(st.text(alphabet="ab", max_size=40))
