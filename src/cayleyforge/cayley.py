@@ -210,48 +210,39 @@ def _dot_label(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(obj: CayleyBall | UnlabelledDigraph) -> str:
-    """Graphviz text; node labels are the vertex words for a ball and
-    bare indices for an unlabelled digraph.  Byte-stable per input."""
+def export_dot(ball: CayleyBall) -> str:
+    """Graphviz text with the vertex words as node labels.  Byte-stable
+    per input."""
+    if not isinstance(ball, CayleyBall):
+        raise TypeError(f"cannot export {type(ball).__name__} as DOT")
     lines = ["digraph {"]
-    if isinstance(obj, CayleyBall):
-        for i, w in enumerate(obj.vertices):
-            lines.append(f"  v{i} [label={_dot_label(show_word(w))}];")
-        for src, dst, g in obj.edges:
-            lines.append(f"  v{src} -> v{dst} [label={_dot_label(g)}];")
-        outside: dict[Word, int] = {}
-        for src, g, target in obj.frontier:
-            if target not in outside:
-                outside[target] = len(outside)
-                lines.append(
-                    f"  f{outside[target]} [label={_dot_label(target)}, style=dashed];"
-                )
+    for i, w in enumerate(ball.vertices):
+        lines.append(f"  v{i} [label={_dot_label(show_word(w))}];")
+    for src, dst, g in ball.edges:
+        lines.append(f"  v{src} -> v{dst} [label={_dot_label(g)}];")
+    outside: dict[Word, int] = {}
+    for src, g, target in ball.frontier:
+        if target not in outside:
+            outside[target] = len(outside)
             lines.append(
-                f"  v{src} -> f{outside[target]} [label={_dot_label(g)}, style=dashed];"
+                f"  f{outside[target]} [label={_dot_label(target)}, style=dashed];"
             )
-    elif isinstance(obj, UnlabelledDigraph):
-        for i in range(obj.n):
-            lines.append(f"  {i};")
-        for src, dst in obj.arcs:
-            lines.append(f"  {src} -> {dst};")
-    else:
-        raise TypeError(f"cannot export {type(obj).__name__} as DOT")
+        lines.append(
+            f"  v{src} -> f{outside[target]} [label={_dot_label(g)}, style=dashed];"
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def export_json(obj: CayleyBall | UnlabelledDigraph) -> str:
-    if isinstance(obj, CayleyBall):
-        payload = {
-            "side": obj.side,
-            "radius": obj.radius,
-            "policy": obj.policy,
-            "vertices": list(obj.vertices),
-            "edges": [[src, dst, g] for src, dst, g in obj.edges],
-            "frontier": [[src, g, target] for src, g, target in obj.frontier],
-        }
-    elif isinstance(obj, UnlabelledDigraph):
-        payload = {"n": obj.n, "arcs": [[src, dst] for src, dst in obj.arcs]}
-    else:
-        raise TypeError(f"cannot export {type(obj).__name__} as JSON")
+def export_json(ball: CayleyBall) -> str:
+    if not isinstance(ball, CayleyBall):
+        raise TypeError(f"cannot export {type(ball).__name__} as JSON")
+    payload = {
+        "side": ball.side,
+        "radius": ball.radius,
+        "policy": ball.policy,
+        "vertices": list(ball.vertices),
+        "edges": [[src, dst, g] for src, dst, g in ball.edges],
+        "frontier": [[src, g, target] for src, g, target in ball.frontier],
+    }
     return json.dumps(payload, ensure_ascii=False)

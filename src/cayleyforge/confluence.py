@@ -14,6 +14,7 @@ bound is recorded on the certified system.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .rewriting import (
@@ -72,9 +73,9 @@ def instantiated_rules(system: RewritingSystem, schema_bound: int) -> list[Rewri
 
 def critical_pairs(
     system: RewritingSystem, schema_bound: int = DEFAULT_SCHEMA_BOUND
-) -> list[CriticalPair]:
-    """Enumerate every overlap and containment pair among all rule
-    instances.
+) -> Iterator[CriticalPair]:
+    """Yield every overlap and containment pair among all rule
+    instances, one at a time.
 
     For rules ``u -> v`` and ``z -> t``: an overlap takes a nonempty
     proper suffix of ``u`` that is a proper prefix of ``z``, giving the
@@ -82,10 +83,10 @@ def critical_pairs(
     finds ``z`` inside ``u``, giving the source ``u`` with descendants
     ``v`` and ``p t q``.  The trivial containment of a rule in itself is
     skipped.  Each overlap of an ordered rule pair at a given shared part
-    appears exactly once.
+    appears exactly once.  A schema bound below a schema's minimal
+    exponent raises :class:`ValueError` when the first pair is asked for.
     """
     rules = instantiated_rules(system, schema_bound)
-    pairs: list[CriticalPair] = []
     for i, left_rule in enumerate(rules):
         u, v = left_rule.lhs, left_rule.rhs
         for j, right_rule in enumerate(rules):
@@ -95,18 +96,17 @@ def critical_pairs(
                 if z.startswith(q):
                     p = u[: len(u) - qlen]
                     r = z[qlen:]
-                    pairs.append(CriticalPair(p + q + r, v + r, p + t, "overlap"))
+                    yield CriticalPair(p + q + r, v + r, p + t, "overlap")
             start = 0
             while True:
                 k = u.find(z, start)
                 if k < 0:
                     break
                 if not (i == j and k == 0 and len(z) == len(u)):
-                    pairs.append(
-                        CriticalPair(u, v, u[:k] + t + u[k + len(z) :], "containment")
+                    yield CriticalPair(
+                        u, v, u[:k] + t + u[k + len(z) :], "containment"
                     )
                 start = k + 1
-    return pairs
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,10 @@ class ConfluenceReport:
 def check_local_confluence(
     system: RewritingSystem, schema_bound: int = DEFAULT_SCHEMA_BOUND
 ) -> ConfluenceReport:
-    """Reduce both descendants of every critical pair and report any
-    pair whose normal forms differ.
+    """Reduce both descendants of every critical pair, as
+    :func:`critical_pairs` yields it, and report any pair whose normal
+    forms differ.  Pairs and overlaps are counted on the way; no list of
+    pairs is kept.
 
     The system must be length-reducing (reduction must terminate).
     """
@@ -138,10 +140,10 @@ def check_local_confluence(
     if failing:
         bad = ", ".join(system.label(i) for i in failing)
         raise ValueError(f"system is not length-reducing: {bad}")
-    pairs = critical_pairs(system, schema_bound)
     failures = []
-    overlaps = 0
-    for pair in pairs:
+    pairs = overlaps = 0
+    for pair in critical_pairs(system, schema_bound):
+        pairs += 1
         if pair.kind == "overlap":
             overlaps += 1
         left = normal_form(system, pair.left_result)
@@ -150,9 +152,9 @@ def check_local_confluence(
             failures.append(PairFailure(pair, left, right))
     return ConfluenceReport(
         passed=not failures,
-        pair_count=len(pairs),
+        pair_count=pairs,
         overlap_count=overlaps,
-        containment_count=len(pairs) - overlaps,
+        containment_count=pairs - overlaps,
         schema_bound=schema_bound,
         failures=tuple(failures),
     )

@@ -1,17 +1,20 @@
 """Structured normal forms for the built-in monoids and the bijection
 between them.
 
-Every irreducible word of the M system decomposes uniquely as
-``b^s u b^t`` where ``u`` is a block word: a-blocks separated by single
-b's (``s >= 0``; ``u`` and the trailing run may be absent).  Every
-irreducible word of the N system decomposes as ``d^p v (dddc)^q d^r``
-with ``v`` a block word of c-blocks separated by single d's, ``0 <= r <= 3``
-and ``q + r > 0`` unless both are absent.
+Every normal form splits once into a head and a trailing run.  For M the
+head runs through the last ``a``: it is ``b^s u`` with ``u`` a block word
+(a-blocks joined by single b's), and the trailing run is ``b^t``.  For N
+the head is ``d^p v`` with ``v`` the maximal c-blocks joined by single
+d's, and the trailing run is ``(dddc)^q d^r`` with ``0 <= r <= 3``.  A
+word without ``a`` (or ``c``) is all head.  The classifiers and the
+bijection read the same split.
 
-``m_to_n`` relabels the head of the decomposition (a -> c, b -> d) and
-recodes the trailing run ``b^t`` as ``(dddc)^q d^r`` with ``t = 4q + r``;
-it is a length-preserving bijection between the two normal-form sets,
-and ``n_to_m`` inverts it.
+``m_to_n`` is φ, a letter-to-letter map: the head is relabelled
+(a -> c, b -> d), and the i-th symbol of the trailing run becomes ``c``
+exactly when 4 divides i, so ``b^t`` becomes ``(dddc)^q d^r`` with
+``t = 4q + r``.  It is a length-preserving bijection between the two
+normal-form sets, and ``n_to_m`` inverts it by relabelling the head back
+and writing ``b`` for every symbol of the trailing run.
 """
 
 from __future__ import annotations
@@ -51,11 +54,22 @@ def is_un_word(w: Word) -> bool:
     return is_block_word(w, "c", "d")
 
 
-def _run_length(w: Word, start: int, ch: str) -> int:
-    i = start
-    while i < len(w) and w[i] == ch:
-        i += 1
-    return i - start
+def _split_m(w: Word) -> int:
+    """Length of the head of an M normal form: through its last ``a``,
+    or the whole word if it has none."""
+    return w.rfind("a") + 1 or len(w)
+
+
+def _split_n(w: Word) -> int:
+    """Length of the head ``d^p v`` of an N normal form, or of the whole
+    word if it has no ``c``.  ``v`` has no ``dd``, and a trailing run of
+    length >= 2 starts with one, so ``v`` ends at the last ``c`` before
+    the first ``dd`` after the first ``c``."""
+    first_c = w.find("c")
+    if first_c < 0:
+        return len(w)
+    end = w.find("dd", first_c)
+    return w.rfind("c", 0, end if end >= 0 else len(w)) + 1
 
 
 def _require_irreducible(system: RewritingSystem, w: Word) -> None:
@@ -139,65 +153,44 @@ def classify_m(w: Word) -> MNormalForm:
     input.
     """
     _require_irreducible(system_m(), w)
-    s = _run_length(w, 0, "b")
+    s = len(w) - len(w.lstrip("b"))
     if s == len(w):
         return MNormalForm("NFM1", s)
-    last_a = w.rfind("a")
-    u = w[s : last_a + 1]
-    if not is_um_word(u):
-        raise RuntimeError(
-            f"irreducible word {w!r} has middle part {u!r} that is not a block "
-            "word; the normal-form decomposition is broken"
-        )
-    t = len(w) - (last_a + 1)
-    if t == 0:
-        return MNormalForm("NFM2", s, u)
-    return MNormalForm("NFM3", s, u, t)
+    cut = _split_m(w)
+    u, t = w[s:cut], len(w) - cut
+    return MNormalForm("NFM3", s, u, t) if t else MNormalForm("NFM2", s, u)
 
 
 def classify_n(w: Word) -> NNormalForm:
     """Decompose an irreducible word of the N system.
 
-    The block word ``v`` is the maximal prefix of c-blocks joined by
-    single d's; the rest is then forced to be ``(dddc)^q d^r`` with
-    ``r <= 3``, and any other shape is reported loudly as an internal
-    error.
+    The block word ``v`` is the maximal run of c-blocks joined by single
+    d's after the leading d's; the rest is then forced to be
+    ``(dddc)^q d^r`` with ``r <= 3``, and any other shape is reported
+    loudly as an internal error.
     """
     _require_irreducible(system_n(), w)
-    p = _run_length(w, 0, "d")
+    p = len(w) - len(w.lstrip("d"))
     if p == len(w):
         return NNormalForm("NFN1", p)
-    i = p
-    while True:
-        i += _run_length(w, i, "c")
-        if w.startswith("dc", i):
-            i += 1  # single separator, another c-block follows
-        else:
-            break
-    v = w[p:i]
-    if not is_un_word(v):
+    cut = _split_n(w)
+    v, (q, r) = w[p:cut], divmod(len(w) - cut, 4)
+    nf = NNormalForm("NFN3", p, v, q, r) if q or r else NNormalForm("NFN2", p, v)
+    if nf.word() != w:
         raise RuntimeError(
-            f"irreducible word {w!r} has middle part {v!r} that is not a block "
-            "word; the normal-form decomposition is broken"
+            f"irreducible word {w!r} has tail {w[cut:]!r} after {v!r}; this "
+            "cannot happen for an irreducible word and means the "
+            "decomposition is broken"
         )
-    rest = w[i:]
-    q = 0
-    while rest.startswith("dddc"):
-        q += 1
-        rest = rest[4:]
-    r = len(rest)
-    if rest != "d" * r or r > 3:
-        raise RuntimeError(
-            f"irreducible word {w!r} has tail {rest!r} after {v!r}; this cannot "
-            "happen for an irreducible word and means the decomposition is broken"
-        )
-    if q == 0 and r == 0:
-        return NNormalForm("NFN2", p, v)
-    return NNormalForm("NFN3", p, v, q, r)
+    return nf
 
 
 _AB_TO_CD = str.maketrans("ab", "cd")
 _CD_TO_AB = str.maketrans("cd", "ab")
+
+# One period of φ's image of a trailing b-run: its i-th symbol is
+# _N_TAIL[(i - 1) % 4], so c exactly when 4 divides i.
+_N_TAIL = "dddc"
 
 
 def ab_to_cd(w: Word) -> Word:
@@ -209,31 +202,32 @@ def cd_to_ab(w: Word) -> Word:
     return w.translate(_CD_TO_AB)
 
 
+def phi(w: Word) -> Word:
+    """φ read letter by letter, for a word already known to be an M
+    normal form (such as a ball vertex); the input is not checked."""
+    cut = _split_m(w)
+    t = len(w) - cut
+    return ab_to_cd(w[:cut]) + (_N_TAIL * (t // len(_N_TAIL) + 1))[:t]
+
+
 def m_to_n(w: Word) -> Word:
-    """Map an irreducible M word to its partner N normal form.
+    """Map an irreducible M word to its partner N normal form, φ(w).
 
     ``b^s -> d^s``, ``b^s u -> d^s u-bar``, and ``b^s u b^t ->
     d^s u-bar (dddc)^q d^r`` with ``t = 4q + r``; the image has the same
-    length as the input.
+    length as the input.  Raises :class:`ClassificationError` on
+    reducible input.
     """
-    nf = classify_m(w)
-    if nf.kind == "NFM1":
-        return "d" * nf.s
-    if nf.kind == "NFM2":
-        return "d" * nf.s + ab_to_cd(nf.u)
-    q, r = divmod(nf.t, 4)
-    return "d" * nf.s + ab_to_cd(nf.u) + "dddc" * q + "d" * r
+    _require_irreducible(system_m(), w)
+    return phi(w)
 
 
 def n_to_m(w: Word) -> Word:
-    """Inverse of :func:`m_to_n`."""
-    nf = classify_n(w)
-    if nf.kind == "NFN1":
-        return "b" * nf.p
-    if nf.kind == "NFN2":
-        return "b" * nf.p + cd_to_ab(nf.v)
-    t = 4 * nf.q + nf.r
-    return "b" * nf.p + cd_to_ab(nf.v) + "b" * t
+    """Inverse of :func:`m_to_n`: relabel the head back and write ``b``
+    for every symbol of the trailing run."""
+    _require_irreducible(system_n(), w)
+    cut = _split_n(w)
+    return cd_to_ab(w[:cut]) + "b" * (len(w) - cut)
 
 
 def _irreducible_words(

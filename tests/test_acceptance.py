@@ -162,6 +162,42 @@ def test_verify_iso_radius_12_output_is_pinned(capsys):
     assert (captured.out, captured.err) == (VERIFY_ISO_RADIUS_12, "")
 
 
+# stdout of ``confluence -p builtin:M --schema-bound 40`` and of
+# ``verify-iso --radius 4 --format json``, recorded before the critical
+# pairs were streamed and the explicit map was read letter by letter
+CONFLUENCE_M_BOUND_40 = """\
+system: builtin:M (0 rules, 1 schemas)
+bounded certificate: schemas instantiated for exponents up to 40
+critical pairs: 1521 (1521 overlap, 0 containment)
+local confluence: PASS
+"""
+
+_IDENTITY_30 = "[" + ", ".join(str(i) for i in range(30)) + "]"
+VERIFY_ISO_RADIUS_4_JSON = (
+    '{"radius": 4, "vertices": 30, "arcs": 33, '
+    '"explicit": {"status": "verified", "mapping": ' + _IDENTITY_30
+    + ', "witness": null}, '
+    '"search": {"status": "isomorphic", "mapping": ' + _IDENTITY_30
+    + ', "witness": null}}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["confluence", "-p", "builtin:M", "--schema-bound", "40"],
+         CONFLUENCE_M_BOUND_40),
+        (["verify-iso", "--radius", "4", "--format", "json"],
+         VERIFY_ISO_RADIUS_4_JSON),
+    ],
+    ids=["confluence-m-40", "verify-iso-4-json"],
+)
+def test_pinned_cli_outputs(argv, expected, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (expected, "")
+
+
 def test_criterion_6_truncation_argument(capsys):
     for n0 in (2, 3, 5, 10):
         word = "a" + "b" * (n0 + 1) + "a"

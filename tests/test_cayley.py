@@ -241,11 +241,11 @@ def test_dot_export_builtin_is_pinned(sys_n):
 """
 
 
-def test_dot_export_digraph():
-    dot = export_dot(UnlabelledDigraph(2, ((0, 1),)))
-    assert "0 -> 1;" in dot
-    with pytest.raises(TypeError):
-        export_dot("nonsense")
+def test_export_rejects_non_balls():
+    for export in (export_dot, export_json):
+        for obj in ("nonsense", UnlabelledDigraph(2, ((0, 1),))):
+            with pytest.raises(TypeError, match="cannot export"):
+                export(obj)
 
 
 def test_json_roundtrip(sys_m, sys_n):

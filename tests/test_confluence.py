@@ -25,7 +25,7 @@ def _as_multiset(pairs):
 
 
 def test_n_overlap_example(sys_n):
-    pairs = critical_pairs(sys_n)
+    pairs = list(critical_pairs(sys_n))
     wanted = [p for p in pairs if p.source == "cddcddc"]
     assert len(wanted) == 1
     pair = wanted[0]
@@ -35,11 +35,11 @@ def test_n_overlap_example(sys_n):
 
 def test_disjoint_single_rule_has_no_pairs():
     system = RewritingSystem(("a", "b"), (RewriteRule("ab", "a"),))
-    assert critical_pairs(system) == []
+    assert list(critical_pairs(system)) == []
 
 
 def test_m_schema_overlap_joins(sys_m):
-    pairs = critical_pairs(sys_m, schema_bound=3)
+    pairs = list(critical_pairs(sys_m, schema_bound=3))
     wanted = [p for p in pairs if p.source == "abbabbba"]
     assert len(wanted) == 1
     pair = wanted[0]
@@ -61,7 +61,7 @@ def test_pairs_match_scan_oracle_m_bounded(sys_m):
 
 def test_schema_bound_below_minimum_rejected(sys_m):
     with pytest.raises(ValueError, match="below the minimal exponent"):
-        critical_pairs(sys_m, schema_bound=1)
+        list(critical_pairs(sys_m, schema_bound=1))
 
 
 def test_instantiated_rules_counts(sys_m, sys_n):

@@ -21,6 +21,7 @@ from cayleyforge import (
     validate_certificate,
     verify_explicit_iso,
 )
+from cayleyforge import normal_forms, rewriting
 
 # Discovered by the search below and frozen as a regression constant:
 # the left balls of the two builtins first become non-isomorphic here.
@@ -100,8 +101,8 @@ def test_verify_rejects_mismatched_inputs(sys_m, sys_n):
 def test_verify_detects_a_broken_pair(sys_m, sys_n):
     ball_m = build_ball(sys_m, "right", 3, "closed")
     ball_n = build_ball(sys_n, "right", 3, "closed")
-    # drop one arc from the N ball: the backward direction still passes,
-    # but the forward direction must find the missing image
+    # drop one arc from the N ball: the vertex map still holds, and the
+    # certificate check names the arc whose image has no partner
     broken = type(ball_n)(
         side=ball_n.side,
         radius=ball_n.radius,
@@ -112,13 +113,16 @@ def test_verify_detects_a_broken_pair(sys_m, sys_n):
     )
     report = verify_explicit_iso(ball_m, broken)
     assert not report.verified
-    assert report.witness[0] == "forward"
+    assert report.mapping is None
+    assert report.witness == (
+        "arcs", f"arc multiset mismatch at {ball_n.edges[0][:2]}"
+    )
 
 
 def test_verify_detects_a_duplicated_arc(sys_m, sys_n):
     ball_m, ball_n = _right_balls(sys_m, sys_n, 3)
-    # one extra copy of an N arc: every M arc still has its image, so
-    # only the backward direction can see the surplus
+    # one extra copy of an N arc: every M arc still has its image, and
+    # the certificate check names the surplus arc
     padded = type(ball_n)(
         side=ball_n.side,
         radius=ball_n.radius,
@@ -129,7 +133,40 @@ def test_verify_detects_a_duplicated_arc(sys_m, sys_n):
     )
     report = verify_explicit_iso(ball_m, padded)
     assert not report.verified
-    assert report.witness[0] == "backward"
+    assert report.witness == (
+        "arcs", f"arc multiset mismatch at {ball_n.edges[0][:2]}"
+    )
+
+
+def test_verify_rejects_a_period_three_tail(sys_m, sys_n, monkeypatch):
+    # negative control: with ddc in place of dddc, phi sends abbb to the
+    # reducible cddc, which is no vertex of the N ball
+    ball_m, ball_n = _right_balls(sys_m, sys_n, 6)
+    monkeypatch.setattr(normal_forms, "_N_TAIL", "ddc")
+    report = verify_explicit_iso(ball_m, ball_n)
+    assert report.status == "counterexample"
+    assert report.witness == (
+        "vertex-map", "'abbb' maps to 'cddc', not a ball vertex"
+    )
+
+
+def test_verify_takes_ball_vertices_as_given(sys_m, sys_n, monkeypatch):
+    ball_m, ball_n = _right_balls(sys_m, sys_n, 9)
+
+    def forbidden(*args):
+        raise AssertionError("the ball path must not classify or reduce")
+
+    for module, name in (
+        (normal_forms, "classify_m"),
+        (normal_forms, "classify_n"),
+        (normal_forms, "is_irreducible"),
+        (rewriting, "is_irreducible"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    report = verify_explicit_iso(ball_m, ball_n)
+    assert report.verified
+    assert report.vertices_checked == len(ball_m.vertices)
+    assert report.arcs_checked == len(ball_m.edges) + len(ball_n.edges)
 
 
 def test_find_isomorphism_trivial_graphs():

@@ -95,6 +95,21 @@ def test_n_to_m_examples():
         n_to_m("cdddd")
 
 
+def test_phi_matches_the_classifier_formula_up_to_length_12(sys_m, sys_n):
+    # the reference reads the paper's decompositions b^s u b^t and
+    # d^p v (dddc)^q d^r off the classifiers' fields
+    for word in enumerate_normal_forms(sys_m, 12):
+        nf = classify_m(word)
+        q, r = divmod(nf.t or 0, 4)
+        expected = "d" * nf.s + ab_to_cd(nf.u or "") + "dddc" * q + "d" * r
+        assert m_to_n(word) == expected, word
+    for word in enumerate_normal_forms(sys_n, 12):
+        nf = classify_n(word)
+        t = 4 * (nf.q or 0) + (nf.r or 0)
+        expected = "b" * nf.p + cd_to_ab(nf.v or "") + "b" * t
+        assert n_to_m(word) == expected, word
+
+
 def test_bijection_up_to_length_10(sys_m, sys_n):
     m_words = enumerate_normal_forms(sys_m, 10)
     n_words = enumerate_normal_forms(sys_n, 10)
