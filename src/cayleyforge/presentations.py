@@ -15,8 +15,8 @@ finite part of M's rule family generates the whole congruence: the word
 ``a b^(n0+1) a`` is irreducible under the truncation yet equal to
 ``aba`` under the full family.
 
-Presentation files are UTF-8 text, one declaration per line, with ``#``
-comments::
+Presentation files are UTF-8 text (a leading byte-order mark is
+accepted), one declaration per line, with ``#`` comments::
 
     alphabet a b
     rule a b{n} a -> a b a where n >= 2
@@ -25,7 +25,9 @@ comments::
 Symbols are single characters separated by spaces.  A rule may contain
 at most one ``{var}`` exponent token, and carries a ``where var >= k``
 clause exactly when it does.  Loading rejects systems that are not
-length-reducing.
+length-reducing.  An error in a line is prefixed with its number; the
+alphabet and symbol errors are those of :class:`RewritingSystem` and
+:meth:`RewritingSystem.check_word`, as for a system built in code.
 """
 
 from __future__ import annotations
@@ -91,71 +93,53 @@ BUILTIN_PREFIX = "builtin:"
 _EXPONENT_TOKEN = re.compile(r"^(?P<symbol>.)\{(?P<var>[A-Za-z][A-Za-z0-9_]*)\}$")
 
 
-def _parse_symbols(tokens: list[str], lineno: int, what: str) -> str:
+def _parse_symbols(tokens: list[str], what: str) -> str:
     for tok in tokens:
         if len(tok) != 1:
-            raise PresentationError(
-                f"line {lineno}: {what} symbols are single characters, got {tok!r}"
-            )
+            raise ValueError(f"{what} symbols are single characters, got {tok!r}")
     return "".join(tokens)
 
 
-def _parse_rule(args: list[str], lineno: int) -> RewriteRule | RuleSchema:
+def _parse_rule(args: list[str]) -> RewriteRule | RuleSchema:
     if args.count("->") != 1:
-        raise PresentationError(f"line {lineno}: a rule needs exactly one '->'")
+        raise ValueError("a rule needs exactly one '->'")
     arrow = args.index("->")
     lhs_tokens = args[:arrow]
     rest = args[arrow + 1 :]
     if not lhs_tokens:
-        raise PresentationError(f"line {lineno}: empty left-hand side")
+        raise ValueError("empty left-hand side")
     if "where" in rest:
         split = rest.index("where")
         rhs_tokens, clause = rest[:split], rest[split + 1 :]
     else:
         rhs_tokens, clause = rest, None
-    rhs = _parse_symbols(rhs_tokens, lineno, "right-hand side")
+    rhs = _parse_symbols(rhs_tokens, "right-hand side")
 
     exponents = [
         (k, m) for k, tok in enumerate(lhs_tokens) if (m := _EXPONENT_TOKEN.match(tok))
     ]
     if len(exponents) > 1:
-        raise PresentationError(
-            f"line {lineno}: at most one exponent variable per rule"
-        )
+        raise ValueError("at most one exponent variable per rule")
     if not exponents:
         if clause is not None:
-            raise PresentationError(
-                f"line {lineno}: 'where' clause without an exponent variable"
-            )
-        lhs = _parse_symbols(lhs_tokens, lineno, "left-hand side")
-        try:
-            return RewriteRule(lhs, rhs)
-        except ValueError as exc:
-            raise PresentationError(f"line {lineno}: {exc}") from exc
+            raise ValueError("'where' clause without an exponent variable")
+        return RewriteRule(_parse_symbols(lhs_tokens, "left-hand side"), rhs)
 
     position, matched = exponents[0]
     var = matched.group("var")
     if clause is None:
-        raise PresentationError(
-            f"line {lineno}: exponent variable {{{var}}} needs a "
-            f"'where {var} >= k' clause"
+        raise ValueError(
+            f"exponent variable {{{var}}} needs a 'where {var} >= k' clause"
         )
     if len(clause) != 3 or clause[0] != var or clause[1] != ">=":
-        raise PresentationError(
-            f"line {lineno}: malformed 'where' clause, expected 'where {var} >= k'"
-        )
+        raise ValueError(f"malformed 'where' clause, expected 'where {var} >= k'")
     try:
         min_exponent = int(clause[2])
     except ValueError as exc:
-        raise PresentationError(
-            f"line {lineno}: exponent bound {clause[2]!r} is not an integer"
-        ) from exc
-    prefix = _parse_symbols(lhs_tokens[:position], lineno, "left-hand side")
-    suffix = _parse_symbols(lhs_tokens[position + 1 :], lineno, "left-hand side")
-    try:
-        return RuleSchema(prefix, matched.group("symbol"), min_exponent, suffix, rhs)
-    except ValueError as exc:
-        raise PresentationError(f"line {lineno}: {exc}") from exc
+        raise ValueError(f"exponent bound {clause[2]!r} is not an integer") from exc
+    prefix = _parse_symbols(lhs_tokens[:position], "left-hand side")
+    suffix = _parse_symbols(lhs_tokens[position + 1 :], "left-hand side")
+    return RuleSchema(prefix, matched.group("symbol"), min_exponent, suffix, rhs)
 
 
 def parse_presentation(text: str) -> RewritingSystem:
@@ -164,52 +148,40 @@ def parse_presentation(text: str) -> RewritingSystem:
     The alphabet must be declared before any rule; the loaded system must
     be length-reducing.  Every error that belongs to one line names it.
     """
-    alphabet: tuple[str, ...] | None = None
+    declared: RewritingSystem | None = None  # the alphabet, with no rules
     rules: list[RewriteRule] = []
     schemas: list[RuleSchema] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        kind, args = tokens[0], tokens[1:]
-        if kind == "alphabet":
-            if alphabet is not None:
-                raise PresentationError(f"line {lineno}: alphabet declared twice")
-            if not args:
-                raise PresentationError(
-                    f"line {lineno}: alphabet needs at least one symbol"
-                )
-            _parse_symbols(args, lineno, "alphabet")
-            for k, symbol in enumerate(args):
-                if symbol in args[:k]:
-                    raise PresentationError(
-                        f"line {lineno}: duplicate alphabet symbol {symbol!r}"
+        kind, *args = line.split()
+        try:
+            if kind == "alphabet":
+                if declared is not None:
+                    raise ValueError("alphabet declared twice")
+                if not args:
+                    raise ValueError("alphabet needs at least one symbol")
+                declared = RewritingSystem(tuple(_parse_symbols(args, "alphabet")))
+            elif kind == "rule":
+                if declared is None:
+                    raise ValueError("rule before the alphabet declaration")
+                parsed = _parse_rule(args)
+                if isinstance(parsed, RewriteRule):
+                    declared.check_word(parsed.lhs + parsed.rhs)
+                    rules.append(parsed)
+                else:
+                    declared.check_word(
+                        parsed.prefix + parsed.pumped + parsed.suffix + parsed.rhs
                     )
-            alphabet = tuple(args)
-        elif kind == "rule":
-            if alphabet is None:
-                raise PresentationError(
-                    f"line {lineno}: rule before the alphabet declaration"
-                )
-            parsed = _parse_rule(args, lineno)
-            if isinstance(parsed, RewriteRule):
-                symbols = parsed.lhs + parsed.rhs
-                rules.append(parsed)
+                    schemas.append(parsed)
             else:
-                symbols = parsed.prefix + parsed.pumped + parsed.suffix + parsed.rhs
-                schemas.append(parsed)
-            for symbol in symbols:
-                if symbol not in alphabet:
-                    raise PresentationError(
-                        f"line {lineno}: symbol {symbol!r} is not in the "
-                        f"alphabet {{{', '.join(alphabet)}}}"
-                    )
-        else:
-            raise PresentationError(f"line {lineno}: unknown declaration {kind!r}")
-    if alphabet is None:
+                raise ValueError(f"unknown declaration {kind!r}")
+        except ValueError as exc:
+            raise PresentationError(f"line {lineno}: {exc}") from exc
+    if declared is None:
         raise PresentationError("no alphabet declaration")
-    system = RewritingSystem(alphabet, tuple(rules), tuple(schemas))
+    system = RewritingSystem(declared.alphabet, tuple(rules), tuple(schemas))
     failing = check_length_reducing(system)
     if failing:
         bad = "; ".join(system.label(i) for i in failing)
@@ -233,7 +205,7 @@ def load_presentation(source: str | Path) -> RewritingSystem:
         return factory()
     path = Path(source)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise PresentationError(f"cannot read {path}: {exc}") from exc
     return parse_presentation(text)

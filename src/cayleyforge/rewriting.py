@@ -156,12 +156,10 @@ class RewritingSystem:
             self._check_symbols(schema.rhs, f"schema {j} rhs")
 
     def _check_symbols(self, word: str, where: str) -> None:
-        for ch in word:
-            if ch not in self.alphabet:
-                raise ValueError(
-                    f"{where}: symbol {ch!r} is not in the alphabet "
-                    f"{{{', '.join(self.alphabet)}}}"
-                )
+        try:
+            self.check_word(word)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
 
     @property
     def is_certified(self) -> bool:
@@ -438,18 +436,16 @@ def is_irreducible(system: RewritingSystem, w: Word) -> bool:
     """Whether no left side occurs in ``w``; equal to
     ``first_match(system, w) is None``, read off the system's automaton.
 
-    Raises ValueError, as :meth:`RewritingSystem.check_word` does, if
-    ``w`` uses a symbol outside the alphabet, even after a left side.
+    ``w`` goes through :meth:`RewritingSystem.check_word` first, so a
+    symbol outside the alphabet raises its ValueError wherever it is,
+    also after a left side.
     """
+    system.check_word(w)
     automaton = system.automaton
     state = automaton.start
-    for i, ch in enumerate(w):
-        symbol = automaton.symbol_ids.get(ch)
-        if symbol is None:
-            system.check_word(ch)  # raises ValueError
-        state = automaton.step(state, symbol)
+    for ch in w:
+        state = automaton.step(state, automaton.symbol_ids[ch])
         if state.rule is not None:
-            system.check_word(w[i + 1 :])
             return False
     return True
 

@@ -147,6 +147,7 @@ def test_ball_from_presentation_file_matches_builtin(capsys, tmp_path):
     [
         ("alphabet ab c\n", "line 1: alphabet symbols are single characters"),
         ("alphabet a a\n", "line 1: duplicate alphabet symbol 'a'"),
+        ("alphabet a a ab\n", "line 1: alphabet symbols are single characters"),
         ("alphabet ab c\nrule c c -> c\n",
          "line 1: alphabet symbols are single characters"),
         ("# M with a typo\nalphabet a b\nrule a x -> a\n",
@@ -162,6 +163,19 @@ def test_presentation_errors_name_their_line(capsys, tmp_path, text, message):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
+
+
+def test_presentation_with_byte_order_mark_loads(capsys, tmp_path, monkeypatch):
+    """Same output as the unmarked file.  ``confluence`` prints the path
+    it is given, so both files are ``n.txt``, each in its own directory."""
+    for directory, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+        (tmp_path / directory).mkdir()
+        (tmp_path / directory / "n.txt").write_text(N_RULES, encoding=encoding)
+    monkeypatch.chdir(tmp_path / "plain")
+    expected = run(capsys, "confluence", "-p", "n.txt")
+    assert expected[0] == 0
+    monkeypatch.chdir(tmp_path / "marked")
+    assert run(capsys, "confluence", "-p", "n.txt") == expected
 
 
 def test_undecodable_presentation_names_the_path(capsys, tmp_path):

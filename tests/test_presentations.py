@@ -87,31 +87,100 @@ def test_parse_empty_rhs():
     assert system.rules == (RewriteRule("aa", ""),)
 
 
+def _error_case(text, message, short):
+    """A parse-error case whose test id is ``text-short``, not the full
+    message."""
+    return pytest.param(text, message, id=f"{text}-{short}")
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("rule a -> b", "rule before the alphabet"),
-        ("alphabet a b\nalphabet a", "alphabet declared twice"),
-        ("alphabet ab", "single characters"),
-        ("alphabet a\nrule a a -> a a", "length-reducing"),
-        ("alphabet a b\nrule a b{n} a -> a", "needs a 'where"),
-        ("alphabet a b\nrule a b a -> a where n >= 2", "without an exponent"),
-        ("alphabet a b\nrule a b{n} b{m} -> a where n >= 2", "at most one exponent"),
-        ("alphabet a b\nrule a b{n} a -> a where m >= 2", "malformed 'where'"),
-        ("alphabet a b\nrule a b{n} a -> a where n >= x", "not an integer"),
-        ("alphabet a b\nrule a x -> a", "not in the alphabet"),
-        ("alphabet a a", "^line 1: duplicate alphabet symbol"),
-        ("alphabet ab c\nrule c c -> c", "^line 1: alphabet symbols"),
-        ("alphabet a b\n\nrule a b -> x", "^line 3: symbol 'x' is not in"),
-        ("alphabet a b\nfoo a", "unknown declaration"),
-        ("", "no alphabet"),
-        ("alphabet a b\nrule -> a", "empty left-hand side"),
-        ("alphabet a b\nrule a b a", "exactly one '->'"),
+        _error_case("rule a -> b", "line 1: rule before the alphabet declaration",
+                    "rule before the alphabet"),
+        _error_case("alphabet a b\nalphabet a", "line 2: alphabet declared twice",
+                    "alphabet declared twice"),
+        _error_case("alphabet ab",
+                    "line 1: alphabet symbols are single characters, got 'ab'",
+                    "single characters"),
+        # "single characters" is reported before a duplicate, wherever it is
+        _error_case("alphabet a a ab",
+                    "line 1: alphabet symbols are single characters, got 'ab'",
+                    "single characters before duplicate"),
+        _error_case("alphabet a ab a",
+                    "line 1: alphabet symbols are single characters, got 'ab'",
+                    "single characters before duplicate"),
+        _error_case("alphabet", "line 1: alphabet needs at least one symbol",
+                    "no symbols"),
+        _error_case("alphabet a\nrule a a -> a a",
+                    "rules must be length-reducing, offending: aa -> aa",
+                    "length-reducing"),
+        _error_case("alphabet a b\nrule a b a -> a\nrule a b -> a b",
+                    "rules must be length-reducing, offending: ab -> ab",
+                    "second rule length-reducing"),
+        _error_case("alphabet a b\nrule a b{n} a -> a",
+                    "line 2: exponent variable {n} needs a 'where n >= k' clause",
+                    "needs a 'where"),
+        _error_case("alphabet a b\nrule a b a -> a where n >= 2",
+                    "line 2: 'where' clause without an exponent variable",
+                    "without an exponent"),
+        _error_case("alphabet a b\nrule a b{n} b{m} -> a where n >= 2",
+                    "line 2: at most one exponent variable per rule",
+                    "at most one exponent"),
+        _error_case("alphabet a b\nrule a b{n} a -> a where m >= 2",
+                    "line 2: malformed 'where' clause, expected 'where n >= k'",
+                    "malformed 'where'"),
+        _error_case("alphabet a b\nrule a b{n} a -> a where",
+                    "line 2: malformed 'where' clause, expected 'where n >= k'",
+                    "bare 'where'"),
+        _error_case("alphabet a b\nrule a b{n} a -> a where n >= x",
+                    "line 2: exponent bound 'x' is not an integer",
+                    "not an integer"),
+        _error_case("alphabet a b\nrule a b{n} a -> a where n >= 0",
+                    "line 2: min_exponent must be at least 1",
+                    "exponent bound below 1"),
+        _error_case("alphabet a b\nrule a b b{n} a -> a where n >= 2",
+                    "line 2: schema prefix may not end with the pumped symbol",
+                    "prefix ends with the pumped symbol"),
+        _error_case("alphabet a b\nrule a b{n} b a -> a where n >= 2",
+                    "line 2: schema suffix may not start with the pumped symbol",
+                    "suffix starts with the pumped symbol"),
+        _error_case("alphabet a b\nrule ab a -> a",
+                    "line 2: left-hand side symbols are single characters, got 'ab'",
+                    "left-hand side single characters"),
+        _error_case("alphabet a b\nrule a b a -> ab",
+                    "line 2: right-hand side symbols are single characters, got 'ab'",
+                    "right-hand side single characters"),
+        _error_case("alphabet a b\nrule a x -> a",
+                    "line 2: symbol 'x' is not in the alphabet {a, b}",
+                    "not in the alphabet"),
+        _error_case("alphabet a b\nrule a x{n} a -> a where n >= 2",
+                    "line 2: symbol 'x' is not in the alphabet {a, b}",
+                    "foreign pumped symbol"),
+        _error_case("alphabet a b # two letters\nrule a b x -> a # typo",
+                    "line 2: symbol 'x' is not in the alphabet {a, b}",
+                    "trailing comment"),
+        _error_case("alphabet a a", "line 1: duplicate alphabet symbol 'a'",
+                    "^line 1: duplicate alphabet symbol"),
+        _error_case("alphabet ab c\nrule c c -> c",
+                    "line 1: alphabet symbols are single characters, got 'ab'",
+                    "^line 1: alphabet symbols"),
+        _error_case("alphabet a b\n\nrule a b -> x",
+                    "line 3: symbol 'x' is not in the alphabet {a, b}",
+                    "^line 3: symbol 'x' is not in"),
+        _error_case("alphabet a b\nfoo a", "line 2: unknown declaration 'foo'",
+                    "unknown declaration"),
+        _error_case("", "no alphabet declaration", "no alphabet"),
+        _error_case("alphabet a b\nrule -> a", "line 2: empty left-hand side",
+                    "empty left-hand side"),
+        _error_case("alphabet a b\nrule a b a", "line 2: a rule needs exactly one '->'",
+                    "exactly one '->'"),
     ],
 )
 def test_parse_errors(text, message):
-    with pytest.raises(PresentationError, match=message):
+    with pytest.raises(PresentationError) as excinfo:
         parse_presentation(text)
+    assert str(excinfo.value) == message
 
 
 def test_load_from_file(tmp_path):
@@ -125,6 +194,15 @@ def test_load_from_file(tmp_path):
     undecodable.write_text("alphabet a b\n", encoding="utf-16")
     with pytest.raises(PresentationError, match="^cannot read .*utf16.txt: "):
         load_presentation(undecodable)
+
+
+def test_load_from_file_with_byte_order_mark(tmp_path):
+    plain = tmp_path / "m.txt"
+    plain.write_text(M_PRESENTATION, encoding="utf-8")
+    marked = tmp_path / "m-bom.txt"
+    marked.write_text(M_PRESENTATION, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert load_presentation(marked) == load_presentation(plain)
 
 
 def test_file_loaded_system_builds_the_builtin_ball(sys_n):

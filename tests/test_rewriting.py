@@ -88,14 +88,18 @@ def test_is_irreducible(sys_m, sys_n):
     # every left side absent, by direct scan
     assert all(lhs not in "cdddc" for lhs, _ in oracles.concrete_rules(sys_n, 1))
     assert is_irreducible(sys_n, "cdddc")
+    assert is_irreducible(sys_m, "")
+    assert is_irreducible(sys_n, "")
 
 
-@pytest.mark.parametrize("word", ["xab", "abbax"])
-def test_is_irreducible_rejects_foreign_symbol(sys_m, word):
-    """Also after ``abba``, a factor that already matches."""
+@pytest.mark.parametrize("word", ["xab", "abbax", "xcddc", "cddcx"])
+def test_is_irreducible_rejects_foreign_symbol(sys_m, sys_n, word):
+    """Also after a factor that already matches: ``abba`` through M's
+    schema, ``cddc`` through N's trie of concrete left sides."""
+    system, alphabet = (sys_n, "{c, d}") if "c" in word else (sys_m, "{a, b}")
     with pytest.raises(ValueError) as excinfo:
-        is_irreducible(sys_m, word)
-    assert str(excinfo.value) == "symbol 'x' is not in the alphabet {a, b}"
+        is_irreducible(system, word)
+    assert str(excinfo.value) == f"symbol 'x' is not in the alphabet {alphabet}"
 
 
 def test_reduction_steps_record_rule_and_position(sys_m):
