@@ -64,7 +64,6 @@ from .rewriting import (
     RewritingSystem,
     RuleSchema,
     Word,
-    check_length_reducing,
     describe_match,
     find_matches,
     first_match,

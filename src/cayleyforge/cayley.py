@@ -1,14 +1,15 @@
 """Cayley-graph balls of a complete rewriting system.
 
 Vertices of a ball of radius L are the irreducible words of length at
-most L, numbered in shortlex order (vertex 0 is the empty word).  For a
-length-reducing complete system the length of a normal form equals its
-directed distance from the identity, so this vertex set is exactly the
-directed ball of that radius.  Edges follow one generator: ``x -> x.g``
-on the right side, ``x -> g.x`` on the left.  A target that reduces
-back inside the ball becomes an edge; a target outside is either
-dropped (``closed``) or recorded (``with_frontier``).  The ball is
-built from the system's left-side automaton and reduces no word.
+most L, numbered in shortlex order (vertex 0 is the empty word).  Every
+rule shortens the word, so in a complete system the length of a normal
+form equals its directed distance from the identity, and this vertex
+set is exactly the directed ball of that radius.  Edges follow one
+generator: ``x -> x.g`` on the right side, ``x -> g.x`` on the left.  A
+target that reduces back inside the ball becomes an edge; a target
+outside is either dropped (``closed``) or recorded (``with_frontier``).
+The ball is built from the system's left-side automaton and reduces no
+word.
 """
 
 from __future__ import annotations
@@ -93,10 +94,10 @@ def build_ball(
     *Length-reducing.*  Vertices are visited in shortlex order.  Walking
     from ``x``, the vertex reached after ``i < |r|`` edges has length at
     most ``|x| + i <= |x| + |r| - 1 <= |x| + |l| - 2 = |v| - 1``, since
-    ``|r| < |l|``.  So every edge taken leaves a vertex shorter than
-    ``v``, which has all its edges already, and they stay in the ball;
-    the final target has length at most ``|x| + |r| <= |v|`` and is in
-    the ball too.
+    ``|r| < |l|``, which every rule and schema checks when it is built.
+    So every edge taken leaves a vertex shorter than ``v``, which has
+    all its edges already, and they stay in the ball; the final target
+    has length at most ``|x| + |r| <= |v|`` and is in the ball too.
 
     *Certified.*  By induction along shortlex order, the stored
     ``h``-edge of each shorter vertex ``y`` leads to the normal form of

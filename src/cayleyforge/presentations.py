@@ -24,10 +24,11 @@ accepted), one declaration per line, with ``#`` comments::
 
 Symbols are single characters separated by spaces.  A rule may contain
 at most one ``{var}`` exponent token, and carries a ``where var >= k``
-clause exactly when it does.  Loading rejects systems that are not
-length-reducing.  An error in a line is prefixed with its number; the
-alphabet and symbol errors are those of :class:`RewritingSystem` and
-:meth:`RewritingSystem.check_word`, as for a system built in code.
+clause with ``k >= 1`` exactly when it does.  An error in a line is
+prefixed with its number.  The alphabet and symbol errors are those of
+:class:`RewritingSystem` and :meth:`RewritingSystem.check_word`, and a
+rule that does not shorten the word is refused by :class:`RewriteRule`
+or :class:`RuleSchema`, as for a system built in code.
 """
 
 from __future__ import annotations
@@ -37,12 +38,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .confluence import DEFAULT_SCHEMA_BOUND, certify
-from .rewriting import (
-    RewriteRule,
-    RewritingSystem,
-    RuleSchema,
-    check_length_reducing,
-)
+from .rewriting import RewriteRule, RewritingSystem, RuleSchema
 
 
 class PresentationError(ValueError):
@@ -139,19 +135,21 @@ def _parse_rule(args: list[str]) -> RewriteRule | RuleSchema:
         raise ValueError(f"exponent bound {clause[2]!r} is not an integer") from exc
     prefix = _parse_symbols(lhs_tokens[:position], "left-hand side")
     suffix = _parse_symbols(lhs_tokens[position + 1 :], "left-hand side")
+    if min_exponent < 1:
+        raise ValueError(f"bound in 'where {var} >= {clause[2]}' must be at least 1")
     return RuleSchema(prefix, matched.group("symbol"), min_exponent, suffix, rhs)
 
 
 def parse_presentation(text: str) -> RewritingSystem:
     """Parse presentation text into an (uncertified) rewriting system.
 
-    The alphabet must be declared before any rule; the loaded system must
-    be length-reducing.  Every error that belongs to one line names it.
+    The alphabet must be declared before any rule.  A leading byte-order
+    mark is ignored.  Every error that belongs to one line names it.
     """
     declared: RewritingSystem | None = None  # the alphabet, with no rules
     rules: list[RewriteRule] = []
     schemas: list[RuleSchema] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -181,12 +179,7 @@ def parse_presentation(text: str) -> RewritingSystem:
             raise PresentationError(f"line {lineno}: {exc}") from exc
     if declared is None:
         raise PresentationError("no alphabet declaration")
-    system = RewritingSystem(declared.alphabet, tuple(rules), tuple(schemas))
-    failing = check_length_reducing(system)
-    if failing:
-        bad = "; ".join(system.label(i) for i in failing)
-        raise PresentationError(f"rules must be length-reducing, offending: {bad}")
-    return system
+    return RewritingSystem(declared.alphabet, tuple(rules), tuple(schemas))
 
 
 def load_presentation(source: str | Path) -> RewritingSystem:
@@ -205,7 +198,7 @@ def load_presentation(source: str | Path) -> RewritingSystem:
         return factory()
     path = Path(source)
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise PresentationError(f"cannot read {path}: {exc}") from exc
     return parse_presentation(text)

@@ -7,6 +7,10 @@ symbol's id is its position in that tuple.  A rule rewrites a factor
 family ``prefix . pumped^n . suffix -> rhs`` for ``n >= min_exponent``
 with a single pumped symbol.
 
+Every rule shortens the word: :class:`RewriteRule` and
+:class:`RuleSchema` refuse to be built otherwise, so every system is
+length-reducing and reduction of ``w`` takes at most ``|w|`` steps.
+
 A schema match always consumes the full run of the pumped symbol at its
 position, so each match corresponds to exactly one factor occurrence of
 one instance of the family.  Reduction applies the first match in
@@ -49,7 +53,6 @@ __all__ = [
     "reduction_steps",
     "normal_form",
     "is_irreducible",
-    "check_length_reducing",
 ]
 
 # A word over some alphabet; "" is the empty word.
@@ -75,6 +78,8 @@ class RewriteRule:
     def __post_init__(self) -> None:
         if not self.lhs:
             raise ValueError("rule left-hand side must be nonempty")
+        if len(self.rhs) >= len(self.lhs):
+            raise ValueError(f"rule {self} is not length-reducing")
 
     def __str__(self) -> str:
         return f"{self.lhs} -> {show_word(self.rhs)}"
@@ -104,6 +109,8 @@ class RuleSchema:
             raise ValueError("schema prefix may not end with the pumped symbol")
         if self.suffix.startswith(self.pumped):
             raise ValueError("schema suffix may not start with the pumped symbol")
+        if len(self.prefix) + self.min_exponent + len(self.suffix) <= len(self.rhs):
+            raise ValueError(f"rule {self} is not length-reducing")
 
     def instance(self, exponent: int) -> RewriteRule:
         """The concrete rule at a fixed exponent."""
@@ -400,10 +407,9 @@ class ReductionStep:
 def reduction_steps(system: RewritingSystem, w: Word) -> list[ReductionStep]:
     """Rewrite ``w`` to a fixed point, recording each applied match.
 
-    Every step must strictly shorten the word; a step that does not is
-    refused so that a non-length-reducing system cannot loop here.
-    ``w`` is checked against the alphabet once; every later word holds
-    only its symbols and right sides, which the system has checked.
+    Every step shortens the word, since every rule does.  ``w`` is
+    checked against the alphabet once; every later word holds only its
+    symbols and right sides, which the system has checked.
     """
     system.check_word(w)
     n_rules = len(system.rules)
@@ -417,11 +423,6 @@ def reduction_steps(system: RewritingSystem, w: Word) -> list[ReductionStep]:
         rhs = system.rules[i].rhs if i < n_rules else system.schemas[i - n_rules].rhs
         end = match.position + match.matched_length
         nxt = current[: match.position] + rhs + current[end:]
-        if len(nxt) >= len(current):
-            raise ValueError(
-                f"rule {system.label(match.rule_index)} did not shorten the word; "
-                "the system is not length-reducing"
-            )
         steps.append(ReductionStep(match, nxt))
         current = nxt
 
@@ -448,19 +449,3 @@ def is_irreducible(system: RewritingSystem, w: Word) -> bool:
         if state.rule is not None:
             return False
     return True
-
-
-def check_length_reducing(system: RewritingSystem) -> tuple[int, ...]:
-    """The combined indices of the rules, and of the schemas at their
-    minimal exponent, that do not strictly shorten the word; empty when
-    every one does.
-    """
-    failing: list[int] = []
-    for i, rule in enumerate(system.rules):
-        if len(rule.lhs) <= len(rule.rhs):
-            failing.append(i)
-    for j, schema in enumerate(system.schemas):
-        shortest = len(schema.prefix) + schema.min_exponent + len(schema.suffix)
-        if shortest <= len(schema.rhs):
-            failing.append(len(system.rules) + j)
-    return tuple(failing)

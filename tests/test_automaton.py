@@ -27,10 +27,10 @@ import oracles
 
 
 @st.composite
-def systems(draw, max_rules=3, max_schemas=2, length_reducing=False):
+def systems(draw, max_rules=3, max_schemas=2):
     """Random systems over two or three symbols, of rules and schemas
-    whose prefix or suffix may be empty; neither confluent nor, unless
-    asked, length-reducing."""
+    whose prefix or suffix may be empty, each with a shorter right side;
+    not confluent in general."""
     alphabet = draw(st.sampled_from(["ab", "abc"]))
 
     def word(lo, hi):
@@ -39,13 +39,13 @@ def systems(draw, max_rules=3, max_schemas=2, length_reducing=False):
     rules = []
     for _ in range(draw(st.integers(0, max_rules))):
         lhs = word(1, 4)
-        rules.append(RewriteRule(lhs, word(0, len(lhs) - 1 if length_reducing else 4)))
+        rules.append(RewriteRule(lhs, word(0, len(lhs) - 1)))
     schemas = []
     for _ in range(draw(st.integers(0 if rules else 1, max_schemas))):
         pumped = draw(st.sampled_from(alphabet))
         prefix, suffix = word(0, 2).rstrip(pumped), word(0, 2).lstrip(pumped)
         k = draw(st.integers(1, 3))
-        rhs = word(0, len(prefix) + k + len(suffix) - 1 if length_reducing else 3)
+        rhs = word(0, len(prefix) + k + len(suffix) - 1)
         schemas.append(RuleSchema(prefix, pumped, k, suffix, rhs))
     return RewritingSystem(tuple(alphabet), tuple(rules), tuple(schemas))
 
@@ -56,9 +56,9 @@ CERTIFY_BOUND = RADIUS_BOUND + 2  # every schema instance a ball product can hol
 
 @st.composite
 def certified_systems(draw):
-    """A random length-reducing system that certifies, or else the first
-    of its single-rule subsystems that does."""
-    system = draw(systems(max_rules=2, max_schemas=1, length_reducing=True))
+    """A random system that certifies, or else the first of its
+    single-rule subsystems that does."""
+    system = draw(systems(max_rules=2, max_schemas=1))
     singles = [RewritingSystem(system.alphabet, (r,)) for r in system.rules]
     singles += [RewritingSystem(system.alphabet, (), (s,)) for s in system.schemas]
     for candidate in [system] + singles:

@@ -1,12 +1,17 @@
 """Built-in systems, the truncated family, and the presentation format."""
 
+import contextlib
+import io
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleyforge import (
     PresentationError,
     RewriteRule,
+    cli,
     RuleSchema,
-    check_length_reducing,
     is_irreducible,
     load_presentation,
     normal_form,
@@ -21,7 +26,6 @@ def test_system_m_shape(sys_m):
     assert sys_m.alphabet == ("a", "b")
     assert sys_m.rules == ()
     assert sys_m.schemas == (RuleSchema("a", "b", 2, "a", "aba"),)
-    assert check_length_reducing(sys_m) == ()
     assert normal_form(sys_m, "abba") == "aba"
     assert is_irreducible(sys_m, "abab")
 
@@ -113,11 +117,15 @@ def _error_case(text, message, short):
         _error_case("alphabet", "line 1: alphabet needs at least one symbol",
                     "no symbols"),
         _error_case("alphabet a\nrule a a -> a a",
-                    "rules must be length-reducing, offending: aa -> aa",
+                    "line 2: rule aa -> aa is not length-reducing",
                     "length-reducing"),
         _error_case("alphabet a b\nrule a b a -> a\nrule a b -> a b",
-                    "rules must be length-reducing, offending: ab -> ab",
+                    "line 3: rule ab -> ab is not length-reducing",
                     "second rule length-reducing"),
+        # the rule is refused as it is built, before its symbols are checked
+        _error_case("alphabet a b\nrule a x -> a x y",
+                    "line 2: rule ax -> axy is not length-reducing",
+                    "length-reducing before the alphabet"),
         _error_case("alphabet a b\nrule a b{n} a -> a",
                     "line 2: exponent variable {n} needs a 'where n >= k' clause",
                     "needs a 'where"),
@@ -137,7 +145,7 @@ def _error_case(text, message, short):
                     "line 2: exponent bound 'x' is not an integer",
                     "not an integer"),
         _error_case("alphabet a b\nrule a b{n} a -> a where n >= 0",
-                    "line 2: min_exponent must be at least 1",
+                    "line 2: bound in 'where n >= 0' must be at least 1",
                     "exponent bound below 1"),
         _error_case("alphabet a b\nrule a b b{n} a -> a where n >= 2",
                     "line 2: schema prefix may not end with the pumped symbol",
@@ -203,6 +211,11 @@ def test_load_from_file_with_byte_order_mark(tmp_path):
     marked.write_text(M_PRESENTATION, encoding="utf-8-sig")
     assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
     assert load_presentation(marked) == load_presentation(plain)
+    # the parser drops the mark, so text read as plain UTF-8 loads too
+    assert parse_presentation("\ufeffalphabet a b\n").alphabet == ("a", "b")
+    with pytest.raises(PresentationError) as excinfo:
+        parse_presentation("alphabet a\n\ufeffrule a a -> a\n")  # only a leading one
+    assert str(excinfo.value) == "line 2: unknown declaration '\\ufeffrule'"
 
 
 def test_file_loaded_system_builds_the_builtin_ball(sys_n):
@@ -212,3 +225,72 @@ def test_file_loaded_system_builds_the_builtin_ball(sys_n):
     assert build_ball(loaded, "right", 5, "closed") == build_ball(
         sys_n, "right", 5, "closed"
     )
+
+
+@st.composite
+def _rule_line(draw, alphabet):
+    """The tokens of one rule line: a concrete rule, or a schema whose
+    prefix and suffix avoid its pumped symbol; the right side is always
+    shorter than the (shortest) left side."""
+    if draw(st.booleans()):
+        lhs = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=4))
+        rhs = draw(st.lists(st.sampled_from(alphabet), max_size=len(lhs) - 1))
+        return ["rule", *lhs, "->", *rhs]
+    pumped = draw(st.sampled_from(alphabet))
+    others = st.sampled_from([g for g in alphabet if g != pumped])
+    prefix = draw(st.lists(others, max_size=2))
+    suffix = draw(st.lists(others, max_size=2))
+    bound = draw(st.integers(1, 3))
+    shortest = len(prefix) + bound + len(suffix)
+    rhs = draw(st.lists(st.sampled_from(alphabet), max_size=shortest - 1))
+    return ["rule", *prefix, pumped + "{n}", *suffix, "->", *rhs,
+            "where", "n", ">=", str(bound)]
+
+
+@st.composite
+def _presentation_texts(draw):
+    """A well-formed presentation, or one made malformed by a single edit
+    of its tokens (``"\\n"`` between lines): drop, duplicate or swap a
+    token, or insert a foreign symbol."""
+    alphabet = draw(st.sampled_from(["ab", "abc"]))
+    lines = [["alphabet", *alphabet]]
+    lines += draw(st.lists(_rule_line(alphabet), max_size=3))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), ["#", "a", "comment"])
+    tokens = [token for line in lines for token in line + ["\n"]]
+    edit = draw(st.sampled_from(["none", "drop", "duplicate", "swap", "insert"]))
+    i = draw(st.integers(0, len(tokens) - 1))
+    if edit == "drop":
+        del tokens[i]
+    elif edit == "duplicate":
+        tokens.insert(i, tokens[i])
+    elif edit == "swap":
+        j = draw(st.integers(0, len(tokens) - 1))
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    elif edit == "insert":
+        tokens.insert(i, draw(st.sampled_from(["x", "é", "ab", "x{n}"])))
+    return " ".join(tokens)
+
+
+@settings(deadline=None)
+@given(_presentation_texts())
+def test_presentation_texts_parse_or_name_their_line(tmp_path_factory, text):
+    """Every text parses or names the line at fault, and a parsed one
+    runs through ``confluence`` and ``ball`` with exit code 0, 1 or 2."""
+    try:
+        parse_presentation(text)
+    except PresentationError as exc:
+        message = str(exc)
+        if message != "no alphabet declaration":
+            found = re.match(r"line (\d+): ", message)
+            assert found, message
+            assert 1 <= int(found.group(1)) <= len(text.splitlines())
+        return
+    path = tmp_path_factory.mktemp("fuzz") / "system.txt"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["confluence", "-p", str(path)],
+                 ["ball", "-p", str(path), "--radius", "3"]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (0, 1, 2), (argv, text)

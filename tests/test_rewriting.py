@@ -1,4 +1,4 @@
-"""Matching, reduction and the length-reducing check."""
+"""Matching, reduction, and rules that must shorten the word."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +8,6 @@ from cayleyforge import (
     RewriteRule,
     RewritingSystem,
     RuleSchema,
-    check_length_reducing,
     find_matches,
     first_match,
     is_irreducible,
@@ -108,20 +107,30 @@ def test_reduction_steps_record_rule_and_position(sys_m):
     assert [(s.match.position, s.match.exponent) for s in steps] == [(0, 2), (2, 2)]
 
 
-def test_check_length_reducing_passes_builtin(sys_m, sys_n):
-    assert check_length_reducing(sys_n) == () and sys_n.rule_count() == 4
-    assert check_length_reducing(sys_m) == ()  # shortest schema instance: length 4 > 3
+def test_rule_that_does_not_shorten_is_refused():
+    """No rule or schema that keeps or grows a word can be built, so no
+    system, certified or not, holds one."""
+    with pytest.raises(ValueError) as excinfo:
+        RewritingSystem(("a", "b"), (RewriteRule("ba", "ab"),), certified_bound=12)
+    assert str(excinfo.value) == "rule ba -> ab is not length-reducing"
+    with pytest.raises(ValueError) as excinfo:
+        RuleSchema("a", "b", 1, "", "ab")  # shortest instance ab, as long as ab
+    assert str(excinfo.value) == "rule ab{n} -> ab (n >= 1) is not length-reducing"
+    RuleSchema("a", "b", 2, "", "ab")  # shortest instance abb
 
 
 def test_check_length_reducing_failure_lists_rule():
-    system = RewritingSystem(("a", "b"), (RewriteRule("a", "ab"),))
-    assert check_length_reducing(system) == (0,)
+    """The refusal names the rule that grows the word."""
+    with pytest.raises(ValueError) as excinfo:
+        RewritingSystem(("a", "b"), (RewriteRule("a", "ab"),))
+    assert str(excinfo.value) == "rule a -> ab is not length-reducing"
 
 
 def test_reduction_refuses_non_shortening_rule():
-    system = RewritingSystem(("a", "b"), (RewriteRule("ab", "ba"),))
+    """A rule that keeps the length is refused as it is built, so
+    reduction never meets one."""
     with pytest.raises(ValueError, match="not length-reducing"):
-        normal_form(system, "ab")
+        RewriteRule("ab", "ba")
 
 
 def test_words_equal(sys_m, sys_n):
