@@ -15,6 +15,7 @@ word.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .normal_forms import _irreducible_words
@@ -60,11 +61,16 @@ class UnlabelledDigraph:
     def __post_init__(self) -> None:
         out: list[list[int]] = [[] for _ in range(self.n)]
         inc: list[list[int]] = [[] for _ in range(self.n)]
-        for src, dst in self.arcs:
-            if not (0 <= src < self.n and 0 <= dst < self.n):
-                raise ValueError(f"arc ({src}, {dst}) out of range for n={self.n}")
-            out[src].append(dst)
-            inc[dst].append(src)
+        try:
+            for src, dst in self.arcs:
+                if src < 0 or dst < 0:
+                    raise IndexError
+                out[src].append(dst)
+                inc[dst].append(src)
+        except IndexError:
+            raise ValueError(
+                f"arc ({src}, {dst}) out of range for n={self.n}"
+            ) from None
         object.__setattr__(self, "out", out)
         object.__setattr__(self, "inc", inc)
 
@@ -82,14 +88,20 @@ def build_ball(
     reads it forwards on the right, ``system.mirror.automaton``
     backwards on the left.  Then the product ``v.g`` (``g.v``) reads as
     the reading of ``v`` plus ``g``, one transition from the state of
-    ``v``, and that state is one transition from the state of the
-    shorter vertex ``v[:-1]`` (``v[1:]``).  If the product's state names
-    no rule, the product is irreducible: a vertex when ``|v| < radius``,
-    otherwise a target outside the ball.  If it names a rule, the
-    product reads as ``x.l``, with ``l`` the rule's left side as that
-    automaton reads it and ``x`` the reading of a prefix (suffix) of
-    ``v``, hence of a vertex.  The target is reached from ``x`` along
-    the edges labelled by the rule's right side ``r`` as read.
+    ``v``.  If the product's state names no rule, the product is
+    irreducible: a vertex when ``|v| < radius``, otherwise a target
+    outside the ball.  The vertices met this way by ``g``, in source
+    order, are the vertices whose reading ends with ``g``, in vertex
+    order: each is met once, from the vertex whose reading is one letter
+    shorter, and among the words ending (starting) with ``g``, shortlex
+    order is that of the rest of the word.  So each gets its number
+    without a lookup, and keeps its state and the vertex it was met
+    from.  If the state names a rule, the product reads as ``x.l``,
+    with ``l`` the rule's left side as that automaton reads it and
+    ``x`` a prefix of the reading of ``v``: the reading of the vertex
+    ``|l| - 1`` steps back along the vertices met from.  The target is
+    reached from ``x`` along the edges labelled by the rule's right side
+    ``r`` as read.
 
     *Length-reducing.*  Vertices are visited in shortlex order.  Walking
     from ``x``, the vertex reached after ``i < |r|`` edges has length at
@@ -121,37 +133,45 @@ def build_ball(
         )
     right = side == "right"
     automaton = (system if right else system.mirror).automaton
-    vertices, states = _irreducible_words(system, radius)
+    vertices = _irreducible_words(system, radius)
     # Each vertex as its automaton reads it: forwards on the right,
     # backwards on the left.
     reads = vertices if right else [v[::-1] for v in vertices]
-    index = {r: i for i, r in enumerate(reads)}
-    if not right:
-        states = [automaton.start]
-        for r in reads[1:]:
-            states.append(
-                automaton.step(states[index[r[:-1]]], automaton.symbol_ids[r[-1]])
-            )
+    # The vertices met by each symbol, in the order they are met.
+    ending: list[list[int]] = [[] for _ in system.alphabet]
+    for i, r in enumerate(reads[1:], 1):
+        ending[automaton.symbol_ids[r[-1]]].append(i)
+    met = [iter(ids) for ids in ending]
+    states = [automaton.start] * len(reads)
+    met_from = [0] * len(reads)
     width = len(system.alphabet)
+    letters = tuple(enumerate(system.alphabet))
+    step, match_length, rhs_ids = automaton.step, automaton.match_length, automaton.rhs_ids
+    keep_frontier = policy == "with_frontier"
     targets: list[int] = []  # targets[src * width + symbol]; -1 outside the ball
     edges: list[tuple[int, int, str]] = []
     frontier: list[tuple[int, str, Word]] = []
     for src, r in enumerate(reads):
         state = states[src]
-        for symbol, g in enumerate(system.alphabet):
-            nxt = automaton.step(state, symbol)
-            product = r + g
-            if nxt.rule is None:
-                if len(r) == radius:
+        known = state.next
+        on_rim = len(r) == radius
+        for symbol, g in letters:
+            nxt = known[symbol] or step(state, symbol)
+            rule = nxt.rule
+            if rule is None:
+                if on_rim:
                     targets.append(-1)
-                    if policy == "with_frontier":
-                        frontier.append((src, g, product if right else product[::-1]))
+                    if keep_frontier:
+                        frontier.append((src, g, r + g if right else g + r[::-1]))
                     continue
-                dst = index[product]
+                dst = next(met[symbol])
+                states[dst] = nxt
+                met_from[dst] = src
             else:
-                length = automaton.match_length(nxt.rule, product)
-                dst = index[product[: len(product) - length]]
-                for h in automaton.rhs_ids[nxt.rule]:
+                dst = src
+                for _ in range(match_length(rule, r + g) - 1):
+                    dst = met_from[dst]
+                for h in rhs_ids[rule]:
                     dst = targets[dst * width + h]
             targets.append(dst)
             edges.append((src, dst, g))
@@ -163,7 +183,7 @@ def build_ball(
 def strip_labels(ball: CayleyBall) -> UnlabelledDigraph:
     """Drop generator labels, keeping arc multiplicities."""
     return UnlabelledDigraph(
-        len(ball.vertices), tuple(sorted((s, d) for s, d, _ in ball.edges))
+        len(ball.vertices), tuple(sorted([(s, d) for s, d, _ in ball.edges]))
     )
 
 
@@ -191,19 +211,37 @@ class Fingerprint:
 
 def graph_invariants(g: UnlabelledDigraph) -> Fingerprint:
     """Vertex/arc counts, the degree-pair multiset, and per-vertex
-    profiles of the degree pairs seen one step out and one step in."""
-    degree = [(len(g.inc[v]), len(g.out[v])) for v in range(g.n)]
-    profiles = [
-        (
-            degree[v],
-            tuple(sorted(degree[u] for u in g.out[v])),
-            tuple(sorted(degree[u] for u in g.inc[v])),
+    profiles of the degree pairs seen one step out and one step in.
+
+    The profiles are counted, not sorted whole.  Each distinct degree
+    pair gets its rank among them as a code, so codes order as the pairs
+    do.  Profiles are counted as keys of codes in neighbour-list order;
+    only the distinct keys are then sorted, inside and among themselves,
+    and each is written out as pairs, as often as it was counted.  Their
+    own pairs, in that order, are the sorted degree pairs.
+    """
+    degree = list(zip(map(len, g.inc), map(len, g.out)))
+    pairs = sorted(set(degree))
+    code = list(map({p: c for c, p in enumerate(pairs)}.__getitem__, degree))
+    code_at = code.__getitem__
+    seen = Counter(
+        zip(
+            code,
+            [tuple(map(code_at, heads)) for heads in g.out],
+            [tuple(map(code_at, tails)) for tails in g.inc],
         )
-        for v in range(g.n)
-    ]
-    return Fingerprint(
-        g.n, len(g.arcs), tuple(sorted(degree)), tuple(sorted(profiles))
     )
+    profiles: Counter = Counter()
+    for (c, heads, tails), count in seen.items():
+        profiles[c, tuple(sorted(heads)), tuple(sorted(tails))] += count
+    pair_at = pairs.__getitem__
+    neighbor_profiles: list[tuple] = []
+    for (c, heads, tails), count in sorted(profiles.items()):
+        profile = (pairs[c], tuple(map(pair_at, heads)), tuple(map(pair_at, tails)))
+        neighbor_profiles += [profile] * count
+    # Profiles are sorted by their own pair first.
+    degree_pairs = tuple(profile[0] for profile in neighbor_profiles)
+    return Fingerprint(g.n, len(g.arcs), degree_pairs, tuple(neighbor_profiles))
 
 
 def _dot_label(text: str) -> str:

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .cayley import build_ball, export_dot, export_json, strip_labels
+from .cayley import build_ball, export_dot, export_json
 from .confluence import (
     DEFAULT_SCHEMA_BOUND,
     NotConfluentError,
@@ -170,7 +170,7 @@ def cmd_verify_iso(args: argparse.Namespace) -> int:
     ball_m = build_ball(system_m(), "right", args.radius, "closed")
     ball_n = build_ball(system_n(), "right", args.radius, "closed")
     report = verify_explicit_iso(ball_m, ball_n)
-    search = find_isomorphism(strip_labels(ball_m), strip_labels(ball_n))
+    search = find_isomorphism(*report.graphs)
     ok = report.verified and search.status == "isomorphic"
 
     if args.format == "json":

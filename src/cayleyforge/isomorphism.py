@@ -23,7 +23,7 @@ import heapq
 import json
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cayley import (
     CayleyBall,
@@ -54,35 +54,52 @@ def validate_certificate(
     isomorphism, otherwise a description of the first defect."""
     if g1.n != g2.n or len(mapping) != g1.n:
         return f"mapping size {len(mapping)} does not match vertex counts"
-    if sorted(mapping) != list(range(g2.n)):
-        return "mapping is not a bijection"
-    image = Counter((mapping[s], mapping[d]) for s, d in g1.arcs)
-    target = Counter(g2.arcs)
-    if image != target:
-        arc = next(iter((image - target) + (target - image)))
-        return f"arc multiset mismatch at {arc}"
-    return None
+    hits = [0] * g2.n
+    for v in mapping:
+        if not 0 <= v < g2.n or hits[v]:
+            return "mapping is not a bijection"
+        hits[v] = 1
+    image = sorted([(mapping[s], mapping[d]) for s, d in g1.arcs])
+    target = sorted(g2.arcs)
+    if image == target:
+        return None
+    # Up to the first position where the sorted lists part, they hold the
+    # same arcs, so the least arc there is the least arc whose
+    # multiplicity differs.
+    k = 0
+    while image[k : k + 1] == target[k : k + 1]:
+        k += 1
+    return f"arc multiset mismatch at {min(image[k : k + 1] + target[k : k + 1])}"
 
 
 @dataclass(frozen=True)
 class IsoReport:
     """Outcome of verifying the explicit normal-form bijection on a ball
     pair; ``witness`` carries the first failing vertex or the certificate
-    defect."""
+    defect, and ``graphs`` the two stripped balls, for a caller that goes
+    on to search them."""
 
     status: str  # "verified" | "counterexample"
     mapping: tuple[int, ...] | None
     witness: tuple[str, str] | None  # ("vertex-map" | "arcs", detail)
     arcs_checked: int
     vertices_checked: int
+    graphs: tuple[UnlabelledDigraph, UnlabelledDigraph] = field(
+        compare=False, repr=False
+    )
 
     @property
     def verified(self) -> bool:
         return self.status == "verified"
 
 
-def _counterexample(direction: str, detail: str, vertices: int) -> IsoReport:
-    return IsoReport("counterexample", None, (direction, detail), 0, vertices)
+def _counterexample(
+    direction: str,
+    detail: str,
+    vertices: int,
+    graphs: tuple[UnlabelledDigraph, UnlabelledDigraph],
+) -> IsoReport:
+    return IsoReport("counterexample", None, (direction, detail), 0, vertices, graphs)
 
 
 def verify_explicit_iso(ball_m: CayleyBall, ball_n: CayleyBall) -> IsoReport:
@@ -95,6 +112,7 @@ def verify_explicit_iso(ball_m: CayleyBall, ball_n: CayleyBall) -> IsoReport:
     or the ``vertex-map`` witness names it.  The resulting mapping is
     then checked by :func:`validate_certificate` on the two stripped
     balls, and its first defect is reported as an ``arcs`` witness.
+    Each ball is stripped once, and the report keeps both digraphs.
     """
     for ball in (ball_m, ball_n):
         if ball.side != "right":
@@ -105,12 +123,14 @@ def verify_explicit_iso(ball_m: CayleyBall, ball_n: CayleyBall) -> IsoReport:
         raise ValueError(
             f"radii differ: {ball_m.radius} vs {ball_n.radius}"
         )
+    graphs = (strip_labels(ball_m), strip_labels(ball_n))
     n_vertices = len(ball_m.vertices)
     if n_vertices != len(ball_n.vertices):
         return _counterexample(
             "vertex-map",
             f"vertex counts differ: {n_vertices} vs {len(ball_n.vertices)}",
             n_vertices,
+            graphs,
         )
     index_n = ball_n.vertex_index()
     mapping: list[int] = []
@@ -120,15 +140,16 @@ def verify_explicit_iso(ball_m: CayleyBall, ball_n: CayleyBall) -> IsoReport:
             return _counterexample(
                 "vertex-map", f"{word!r} maps to {image!r}, not a ball vertex",
                 n_vertices,
+                graphs,
             )
         mapping.append(index_n[image])
-    defect = validate_certificate(
-        strip_labels(ball_m), strip_labels(ball_n), tuple(mapping)
-    )
+    defect = validate_certificate(*graphs, tuple(mapping))
     if defect is not None:
-        return _counterexample("arcs", defect, n_vertices)
+        return _counterexample("arcs", defect, n_vertices, graphs)
     arcs_checked = len(ball_m.edges) + len(ball_n.edges)
-    return IsoReport("verified", tuple(mapping), None, arcs_checked, n_vertices)
+    return IsoReport(
+        "verified", tuple(mapping), None, arcs_checked, n_vertices, graphs
+    )
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from .presentations import system_m, system_n
 from .rewriting import (
-    AutomatonState,
     IncompleteSystemError,
     RewritingSystem,
     Word,
@@ -230,11 +229,9 @@ def n_to_m(w: Word) -> Word:
     return cd_to_ab(w[:cut]) + "b" * (len(w) - cut)
 
 
-def _irreducible_words(
-    system: RewritingSystem, max_len: int
-) -> tuple[list[Word], list[AutomatonState]]:
+def _irreducible_words(system: RewritingSystem, max_len: int) -> list[Word]:
     """All irreducible words of length up to ``max_len`` in shortlex
-    order, each with the state of ``system.automaton`` it ends in.
+    order.
 
     A breadth-first search over the automaton's transitions: a word's
     extensions ``w.g`` are read off the state of ``w`` in one step each,
@@ -258,7 +255,7 @@ def _irreducible_words(
         if len(words) == end:
             break
         begin = end
-    return words, states
+    return words
 
 
 def enumerate_normal_forms(system: RewritingSystem, max_len: int) -> list[Word]:
@@ -269,4 +266,4 @@ def enumerate_normal_forms(system: RewritingSystem, max_len: int) -> list[Word]:
         raise IncompleteSystemError(
             "enumerate_normal_forms needs a certified system; call certify() first"
         )
-    return _irreducible_words(system, max_len)[0]
+    return _irreducible_words(system, max_len)

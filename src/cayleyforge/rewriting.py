@@ -238,26 +238,32 @@ class LeftSideAutomaton:
 
     The underlying NFA has one trie for all concrete left sides, so a
     shared prefix is one node, and one chain per schema
-    ``p c^k c* s``, with a loop on ``c`` after ``k`` copies.  Reading a
-    word from :attr:`start` restarts every chain at every position, so
-    the state reached is the set of NFA positions that some suffix of
-    the word leads to, and its ``rule`` names a left side ending there.
-    A word is irreducible exactly when no prefix of it reaches a state
-    that names a rule.  A state and each transition are computed the
-    first time they are needed.
+    ``p c^k c* s``, with a loop on ``c`` after ``k`` copies.  The first
+    ``k - 1`` copies lead through a counted range of positions that
+    store no moves: each goes on ``c`` to the next one, so the NFA's
+    size does not grow with ``k``.  Reading a word from :attr:`start`
+    restarts every chain at every position, so the state reached is the
+    set of NFA positions that some suffix of the word leads to, and its
+    ``rule`` names a left side ending there.  A word is irreducible
+    exactly when no prefix of it reaches a state that names a rule.  A
+    state and each transition are computed the first time they are
+    needed.
 
     Symbols are given by their id, the position in the alphabet.
     """
 
     def __init__(self, system: RewritingSystem) -> None:
         ids = {g: j for j, g in enumerate(system.alphabet)}
-        moves: list[dict[int, int]] = []  # NFA position -> symbol id -> position
-        accepts: list[int | None] = []  # lowest rule index ending at a position
+        moves: dict[int, dict[int, int]] = {}  # NFA position -> symbol id -> position
+        accepts: dict[int, int] = {}  # lowest rule index ending at a position
+        runs: list[tuple[int, int, int]] = []  # counted positions lo..hi-1, symbol id
+        size = 0
 
         def new_position() -> int:
-            moves.append({})
-            accepts.append(None)
-            return len(moves) - 1
+            nonlocal size
+            moves[size] = {}
+            size += 1
+            return size - 1
 
         def extend(pos: int, word: str) -> int:
             for ch in word:
@@ -270,13 +276,16 @@ class LeftSideAutomaton:
         root = new_position()
         initial = [root]
         for i, rule in enumerate(system.rules):
-            end = extend(root, rule.lhs)
-            if accepts[end] is None:
-                accepts[end] = i
+            accepts.setdefault(extend(root, rule.lhs), i)
         for j, schema in enumerate(system.schemas):
             initial.append(new_position())
-            run = extend(initial[-1], schema.prefix + schema.pumped * schema.min_exponent)
-            moves[run][ids[schema.pumped]] = run
+            head = extend(initial[-1], schema.prefix)
+            pumped = ids[schema.pumped]
+            moves[head][pumped] = size
+            runs.append((size, size + schema.min_exponent - 1, pumped))
+            size += schema.min_exponent - 1
+            run = new_position()
+            moves[run][pumped] = run
             accepts[extend(run, schema.suffix)] = len(system.rules) + j
 
         self.symbol_ids = ids
@@ -288,6 +297,7 @@ class LeftSideAutomaton:
         self._schemas = system.schemas
         self._moves = moves
         self._accepts = accepts
+        self._runs = runs
         self._initial = frozenset(initial)
         self._states: dict[frozenset[int], AutomatonState] = {}
         self.start = self._state(self._initial)
@@ -295,7 +305,7 @@ class LeftSideAutomaton:
     def _state(self, positions: frozenset[int]) -> AutomatonState:
         state = self._states.get(positions)
         if state is None:
-            named = [self._accepts[p] for p in positions if self._accepts[p] is not None]
+            named = [self._accepts[p] for p in positions if p in self._accepts]
             state = AutomatonState(
                 positions, min(named) if named else None, len(self.symbol_ids)
             )
@@ -306,12 +316,18 @@ class LeftSideAutomaton:
         """The state after reading symbol id ``symbol`` in ``state``."""
         target = state.next[symbol]
         if target is None:
-            moves = self._moves
-            target = self._state(
-                self._initial.union(
-                    moves[p][symbol] for p in state.positions if symbol in moves[p]
-                )
-            )
+            heads = set(self._initial)
+            for p in state.positions:
+                move = self._moves.get(p)
+                if move is None:
+                    heads.update(
+                        p + 1
+                        for lo, hi, pumped in self._runs
+                        if lo <= p < hi and symbol == pumped
+                    )
+                elif symbol in move:
+                    heads.add(move[symbol])
+            target = self._state(frozenset(heads))
             state.next[symbol] = target
         return target
 

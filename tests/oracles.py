@@ -102,6 +102,38 @@ def ball_by_reduction(system, side, radius, policy):
     return vertices, tuple(edges), tuple(frontier)
 
 
+def strip_by_hand(vertices, edges):
+    """``(n, arcs)`` of a ball with its labels dropped: one arc per
+    edge, in sorted order."""
+    return len(vertices), sorted((src, dst) for src, dst, _ in edges)
+
+
+def fingerprint_by_hand(n, arcs):
+    """``(vertex count, arc count, degree pairs, neighbour profiles)`` of
+    a digraph given as ``(n, arcs)``, by sorting every vertex's entry.
+
+    A vertex's degree pair is (in-degree, out-degree).  Its profile is
+    its own pair, the sorted pairs of the heads of its arcs out and the
+    sorted pairs of the tails of its arcs in, one per arc.  Both
+    multisets are returned as sorted tuples.
+    """
+    heads = [[] for _ in range(n)]
+    tails = [[] for _ in range(n)]
+    for src, dst in arcs:
+        heads[src].append(dst)
+        tails[dst].append(src)
+    pair = [(len(tails[v]), len(heads[v])) for v in range(n)]
+    profiles = [
+        (
+            pair[v],
+            tuple(sorted(pair[u] for u in heads[v])),
+            tuple(sorted(pair[u] for u in tails[v])),
+        )
+        for v in range(n)
+    ]
+    return n, len(arcs), tuple(sorted(pair)), tuple(sorted(profiles))
+
+
 def critical_sources_by_scan(rules):
     """Critical-pair multiset found by scanning whole words.
 

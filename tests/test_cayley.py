@@ -1,9 +1,11 @@
 """Ball construction, label stripping, fingerprints and exports."""
 
 import json
+import re
 from collections import Counter, deque
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cayleyforge import (
     CayleyBall,
@@ -189,6 +191,9 @@ def test_fingerprints_match_for_builtin_right_balls(sys_m, sys_n):
 def test_digraph_rejects_out_of_range_arcs():
     with pytest.raises(ValueError):
         UnlabelledDigraph(2, ((0, 2),))
+    for arc in ((2, 0), (-1, 0), (0, -1), (1, 5)):
+        with pytest.raises(ValueError, match=re.escape(f"arc {arc} out of range for n=2")):
+            UnlabelledDigraph(2, ((1, 1), arc))
 
 
 def test_digraph_adjacency_follows_the_arcs():
@@ -263,3 +268,58 @@ def test_json_roundtrip(sys_m, sys_n):
             "edges": [list(edge) for edge in ball.edges],
             "frontier": [list(arc) for arc in ball.frontier],
         }
+
+
+@st.composite
+def labelled_arcs(draw, max_vertices=8):
+    """A vertex count and a list of labelled arcs on it, loops and
+    parallel arcs included, in any order."""
+    n = draw(st.integers(0, max_vertices))
+    if n == 0:
+        return 0, []
+    vertex = st.integers(0, n - 1)
+    arc = st.tuples(vertex, vertex, st.sampled_from("ab"))
+    return n, draw(st.lists(arc, max_size=3 * n))
+
+
+def _labelled_ball(n, edges):
+    return CayleyBall("right", 0, "closed", tuple(str(v) for v in range(n)), tuple(edges))
+
+
+@given(labelled_arcs())
+def test_strip_labels_matches_the_oracle(drawn):
+    n, edges = drawn
+    graph = strip_labels(_labelled_ball(n, edges))
+    assert (graph.n, list(graph.arcs)) == oracles.strip_by_hand(range(n), edges)
+
+
+@given(labelled_arcs())
+def test_graph_invariants_match_the_oracle(drawn):
+    n, edges = drawn
+    arcs = [(src, dst) for src, dst, _ in edges]
+    fingerprint = graph_invariants(UnlabelledDigraph(n, tuple(arcs)))
+    assert (
+        fingerprint.vertex_count,
+        fingerprint.arc_count,
+        fingerprint.degree_pairs,
+        fingerprint.neighbor_profiles,
+    ) == oracles.fingerprint_by_hand(n, arcs)
+
+
+@pytest.mark.parametrize("policy", ["closed", "with_frontier"])
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("name", ["M", "N"])
+def test_builtin_balls_strip_and_fingerprint_as_the_oracle(sys_m, sys_n, name, side, policy):
+    system = sys_m if name == "M" else sys_n
+    for radius in range(11):
+        ball = build_ball(system, side, radius, policy)
+        graph = strip_labels(ball)
+        n, arcs = oracles.strip_by_hand(ball.vertices, ball.edges)
+        assert (graph.n, list(graph.arcs)) == (n, arcs)
+        fingerprint = graph_invariants(graph)
+        assert (
+            fingerprint.vertex_count,
+            fingerprint.arc_count,
+            fingerprint.degree_pairs,
+            fingerprint.neighbor_profiles,
+        ) == oracles.fingerprint_by_hand(n, arcs)

@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, formats and exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -231,6 +232,30 @@ def test_bad_integer_arguments_name_the_value(capsys, argv, value):
     assert f"expected an integer, got {value}" in err
     assert "_nonnegative_int" not in err
     assert "_n0_value" not in err
+
+
+# sha256 of the stdout of ``ball -p builtin:<name> --side <side> --policy
+# <policy> --radius 11 --format <format>``, recorded before
+# graph_invariants counted its profiles and build_ball numbered the
+# vertices met without a lookup
+EXPORTS_AT_RADIUS_11 = [
+    ("M", "right", "closed", "json",
+     "0c684d0a8e09eaf93fa65085501b0cea2db50f15a2e19e26e2af5f6cb5f1f701"),
+    ("N", "right", "closed", "dot",
+     "ae7e5d79e083d9fda8d1bcb8422f533b6230119a3c734abebe10344943aae939"),
+    ("M", "left", "with-frontier", "dot",
+     "5d3055fb97c6ee7e5b01786b5ee31a310e1e9fa13fdfedf6cc060a0e332c5e8d"),
+    ("N", "left", "with-frontier", "json",
+     "bd752cb0e91cb012f6a581efcdd8ef20cac4fbfeb8bcb58761982a4ae4490af8"),
+]
+
+
+@pytest.mark.parametrize("name, side, policy, fmt, digest", EXPORTS_AT_RADIUS_11)
+def test_ball_exports_at_radius_11_are_pinned(capsys, name, side, policy, fmt, digest):
+    code, out, err = run(capsys, "ball", "-p", f"builtin:{name}", "--side", side,
+                         "--policy", policy, "--radius", "11", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_verify_iso(capsys):

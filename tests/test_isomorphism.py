@@ -138,6 +138,33 @@ def test_verify_detects_a_duplicated_arc(sys_m, sys_n):
     )
 
 
+def test_verify_report_keeps_the_stripped_balls(sys_m, sys_n):
+    ball_m, ball_n = _right_balls(sys_m, sys_n, 4)
+    report = verify_explicit_iso(ball_m, ball_n)
+    assert report.graphs == (strip_labels(ball_m), strip_labels(ball_n))
+    assert "graphs" not in repr(report)
+    broken = type(ball_n)("right", 4, "closed", ball_n.vertices, ball_n.edges[1:])
+    assert verify_explicit_iso(ball_m, broken).graphs[1] == strip_labels(broken)
+
+
+def test_certificate_bijection_and_witness():
+    path = UnlabelledDigraph(3, ((0, 1), (1, 2)))
+    for mapping in ((0, 0, 1), (0, 1, 3), (0, -1, 2), (2, 1, 2)):
+        assert validate_certificate(path, path, mapping) == "mapping is not a bijection"
+    assert validate_certificate(path, path, (0, 1)).startswith("mapping size 2")
+    # the witness is the least arc whose multiplicity differs, whichever
+    # graph holds more copies of it
+    assert validate_certificate(path, path, (1, 0, 2)) == "arc multiset mismatch at (0, 1)"
+    doubled = UnlabelledDigraph(3, ((1, 2), (0, 1), (1, 2)))
+    fewer = UnlabelledDigraph(3, ((0, 1), (1, 2), (2, 2)))
+    assert validate_certificate(fewer, doubled, (0, 1, 2)) == "arc multiset mismatch at (1, 2)"
+    assert validate_certificate(doubled, fewer, (0, 1, 2)) == "arc multiset mismatch at (1, 2)"
+    longer = UnlabelledDigraph(3, ((0, 1), (1, 2), (2, 0), (2, 1)))
+    cycle = UnlabelledDigraph(3, ((2, 0), (0, 1), (1, 2)))
+    assert validate_certificate(longer, cycle, (0, 1, 2)) == "arc multiset mismatch at (2, 1)"
+    assert validate_certificate(cycle, cycle, (1, 2, 0)) is None
+
+
 def test_verify_rejects_a_period_three_tail(sys_m, sys_n, monkeypatch):
     # negative control: with ddc in place of dddc, phi sends abbb to the
     # reducible cddc, which is no vertex of the N ball
@@ -383,6 +410,19 @@ def test_left_balls_agree_below_separation(sys_m, sys_n):
     report = separate_left_graphs(LEFT_SEPARATION_RADIUS - 1)
     assert not report.separated
     assert len(report.lines) == LEFT_SEPARATION_RADIUS - 1
+
+
+def test_left_fingerprints_differ_at_every_radius_from_separation_on(sys_m, sys_n):
+    # an isomorphism of left balls fixes the identity, the one vertex
+    # without an in-arc, and keeps the distance from it, so it would
+    # restrict to every smaller radius: from 4 on the balls stay apart,
+    # and the fingerprint alone tells them apart up to radius 10
+    for radius in range(11):
+        fm, fn = (
+            graph_invariants(strip_labels(build_ball(system, "left", radius, "closed")))
+            for system in (sys_m, sys_n)
+        )
+        assert (fm == fn) == (radius < LEFT_SEPARATION_RADIUS), radius
 
 
 def test_tiny_left_balls_are_identical(sys_m, sys_n):

@@ -1,5 +1,8 @@
 """Matching, reduction, and rules that must shorten the word."""
 
+import dataclasses
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,10 +11,13 @@ from cayleyforge import (
     RewriteRule,
     RewritingSystem,
     RuleSchema,
+    build_ball,
+    certify,
     find_matches,
     first_match,
     is_irreducible,
     normal_form,
+    parse_presentation,
     reduction_steps,
     words_equal,
 )
@@ -177,3 +183,28 @@ def test_normal_form_idempotent(word):
     nf = normal_form(system_n(), word)
     assert is_irreducible(system_n(), nf)
     assert normal_form(system_n(), nf) == nf
+
+
+def test_schema_bound_costs_no_memory():
+    """The automaton counts a schema's bound instead of laying out that
+    many positions, so a bound of a million costs no more than a bound
+    of 2."""
+    text = "alphabet a b\nrule a b{{n}} -> a where n >= {}\n"
+    tracemalloc.start()
+    try:
+        system = parse_presentation(text.format(10**6))
+        assert is_irreducible(system, "ab")
+        assert is_irreducible(system.mirror, "bbbbba")
+        # certify(system, 10**6) checks the one instance a b^1000000,
+        # which overlaps nothing, so it would return this system; it is
+        # built directly so as not to spell out that instance
+        certified = dataclasses.replace(system, certified_bound=10**6)
+        balls = [build_ball(certified, side, 3, "with_frontier") for side in ("right", "left")]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+    # no product in these balls is long enough to hold a left side
+    small = certify(parse_presentation(text.format(5)), 5)
+    for ball, side in zip(balls, ("right", "left")):
+        assert ball == build_ball(small, side, 3, "with_frontier")
