@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success or property verified, 1 a checked property failed,
-2 usage or presentation errors, or an output file that cannot be
-written, 3 an internal error (a bug, reported without a traceback).
+2 usage or presentation errors, or an output file or stdout that cannot
+be written, 3 an internal error (a bug, reported without a traceback).
 All output is deterministic.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -313,7 +314,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # the reader closed stdout: send what is still buffered to
+        # devnull, so that the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -91,12 +91,15 @@ def critical_pairs(
         u, v = left_rule.lhs, left_rule.rhs
         for j, right_rule in enumerate(rules):
             z, t = right_rule.lhs, right_rule.rhs
-            for qlen in range(1, min(len(u), len(z))):
-                q = u[len(u) - qlen :]
-                if z.startswith(q):
-                    p = u[: len(u) - qlen]
-                    r = z[qlen:]
-                    yield CriticalPair(p + q + r, v + r, p + t, "overlap")
+            # the shared part u[k:] starts with z[0]; descending k is
+            # ascending overlap length
+            lo = max(1, len(u) - len(z) + 1)
+            k = u.rfind(z[0], lo)
+            while k >= 0:
+                if z.startswith(u[k:]):
+                    p, r = u[:k], z[len(u) - k :]
+                    yield CriticalPair(p + z, v + r, p + t, "overlap")
+                k = u.rfind(z[0], lo, k)
             start = 0
             while True:
                 k = u.find(z, start)

@@ -15,7 +15,26 @@ A schema match always consumes the full run of the pumped symbol at its
 position, so each match corresponds to exactly one factor occurrence of
 one instance of the family.  Reduction applies the first match in
 (position, rule index) order; on a confluent system the final result is
-independent of that choice, and the fixed order keeps outputs stable.
+independent of that choice, and the fixed order keeps outputs stable,
+also on systems that are not confluent.
+
+Reduction is exact first match, amortised linear for bounded left
+sides: after a rewrite the next scan resumes where the rewrite can first
+matter, not at position 0.  The window lemma: let ``s`` be the position
+of the first match, which is rewritten.  No position before ``s`` held
+a match, and the word before ``s`` does not change, so any new match
+must reach ``s``.  A concrete left side of length at most ``L``, the
+longest one, then starts at or after ``s - (L - 1)``.  A schema match
+has only its prefix, one pumped run and part of its suffix before
+``s``, so it starts at or after ``r - len(prefix)``, where ``r`` is the
+start of the maximal run of its pumped symbol that ends at
+``max(0, s - len(suffix))``.  The scan resumes at the least of these
+bounds (and at least 0), and finds exactly the match that a scan from
+0 would.  With left sides of bounded length, all scans of one reduction
+together read O(``|w|``) positions; each rewrite also copies the word
+once, at C speed.  :func:`normal_form` keeps only the current word, and
+the lengths the lemma needs are computed once per system, on its first
+reduction.
 
 Irreducibility is decided by a :class:`LeftSideAutomaton`, a matcher
 over all left sides that is determinised on demand.  A system builds
@@ -35,7 +54,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 __all__ = [
     "Word",
@@ -196,6 +214,22 @@ class RewritingSystem:
     def automaton(self) -> LeftSideAutomaton:
         """The matcher over this system's left sides, built on first use."""
         return LeftSideAutomaton(self)
+
+    @cached_property
+    def _reduction_data(
+        self,
+    ) -> tuple[tuple[str, ...], tuple[str, ...], int, tuple[tuple[int, str, int], ...]]:
+        """What reduction reads on every step, computed once: the
+        concrete left sides, the right side at each combined index, the
+        longest concrete left side (1 if there is none) and each
+        schema's ``(len(suffix), pumped, len(prefix))``."""
+        lefts = tuple([r.lhs for r in self.rules])
+        return (
+            lefts,
+            tuple([r.rhs for r in self.rules] + [s.rhs for s in self.schemas]),
+            max(map(len, lefts), default=1),
+            tuple([(len(s.suffix), s.pumped, len(s.prefix)) for s in self.schemas]),
+        )
 
     @cached_property
     def mirror(self) -> RewritingSystem:
@@ -376,35 +410,67 @@ def _match_schema(schema: RuleSchema, w: Word, pos: int) -> tuple[int, int] | No
     return exponent, run_end - pos + len(schema.suffix)
 
 
-def iter_matches(system: RewritingSystem, w: Word) -> Iterator[Match]:
-    """Yield every match in ``w`` in (position, rule index) order.
-
-    ``w`` is not checked against the alphabet; callers check it once.
-    """
-    n_rules = len(system.rules)
-    for pos in range(len(w)):
-        for idx, rule in enumerate(system.rules):
-            if w.startswith(rule.lhs, pos):
-                yield Match(idx, pos, len(rule.lhs))
-        for jdx, schema in enumerate(system.schemas):
-            hit = _match_schema(schema, w, pos)
-            if hit is not None:
-                exponent, length = hit
-                yield Match(n_rules + jdx, pos, length, exponent)
-
-
 def find_matches(system: RewritingSystem, w: Word) -> list[Match]:
     """All matches in ``w``, ordered by position then rule index.
 
     Schema matches report the full pumped run at their position.
     """
     system.check_word(w)
-    return list(iter_matches(system, w))
+    n_rules = len(system.rules)
+    matches = []
+    for pos in range(len(w)):
+        for idx, rule in enumerate(system.rules):
+            if w.startswith(rule.lhs, pos):
+                matches.append(Match(idx, pos, len(rule.lhs)))
+        for jdx, schema in enumerate(system.schemas):
+            hit = _match_schema(schema, w, pos)
+            if hit is not None:
+                exponent, length = hit
+                matches.append(Match(n_rules + jdx, pos, length, exponent))
+    return matches
+
+
+def _first_match(
+    system: RewritingSystem, w: Word, start: int
+) -> tuple[int, int, int, int | None] | None:
+    """``(rule index, position, matched length, exponent)`` of the first
+    match in ``w`` in (position, rule index) order, or None; the
+    exponent is None for a concrete rule.
+
+    No match may start before ``start``, so the scan begins there.  A
+    schema with an empty prefix is tried only where its pumped run
+    begins: a match inside a run would imply one a position earlier,
+    with the same run end and suffix.  The schema test is written out
+    here rather than calling :func:`_match_schema`, which would cost a
+    call per position of every reduction.
+    """
+    lefts = system._reduction_data[0]
+    n_rules = len(lefts)
+    n = len(w)
+    for pos in range(start, n):
+        for i, lhs in enumerate(lefts):
+            if w.startswith(lhs, pos):
+                return i, pos, len(lhs), None
+        for j, schema in enumerate(system.schemas):
+            prefix, pumped = schema.prefix, schema.pumped
+            if prefix:
+                if not w.startswith(prefix, pos):
+                    continue
+            elif pos and w[pos - 1] == pumped:
+                continue
+            run_start = run_end = pos + len(prefix)
+            while run_end < n and w[run_end] == pumped:
+                run_end += 1
+            exponent = run_end - run_start
+            if exponent >= schema.min_exponent and w.startswith(schema.suffix, run_end):
+                return n_rules + j, pos, run_end - pos + len(schema.suffix), exponent
+    return None
 
 
 def first_match(system: RewritingSystem, w: Word) -> Match | None:
     system.check_word(w)
-    return next(iter_matches(system, w), None)
+    hit = _first_match(system, w, 0)
+    return None if hit is None else Match(*hit)
 
 
 def describe_match(system: RewritingSystem, match: Match) -> str:
@@ -420,6 +486,28 @@ class ReductionStep:
     result: Word
 
 
+def _reduce(system: RewritingSystem, w: Word, steps: list[ReductionStep] | None) -> Word:
+    """Rewrite ``w`` by first matches to a fixed point, appending each
+    step to ``steps`` unless it is None; see the module docstring for
+    where each scan resumes."""
+    system.check_word(w)
+    _, rights, longest, schemas = system._reduction_data
+    start = 0
+    while (hit := _first_match(system, w, start)) is not None:
+        i, s, length, exponent = hit
+        w = w[:s] + rights[i] + w[s + length :]
+        if steps is not None:
+            steps.append(ReductionStep(Match(i, s, length, exponent), w))
+        start = s - longest + 1
+        for suffix_len, pumped, prefix_len in schemas:
+            r = max(0, s - suffix_len)
+            while r and w[r - 1] == pumped:
+                r -= 1
+            start = min(start, r - prefix_len)
+        start = max(0, start)
+    return w
+
+
 def reduction_steps(system: RewritingSystem, w: Word) -> list[ReductionStep]:
     """Rewrite ``w`` to a fixed point, recording each applied match.
 
@@ -427,26 +515,15 @@ def reduction_steps(system: RewritingSystem, w: Word) -> list[ReductionStep]:
     checked against the alphabet once; every later word holds only its
     symbols and right sides, which the system has checked.
     """
-    system.check_word(w)
-    n_rules = len(system.rules)
     steps: list[ReductionStep] = []
-    current = w
-    while True:
-        match = next(iter_matches(system, current), None)
-        if match is None:
-            return steps
-        i = match.rule_index
-        rhs = system.rules[i].rhs if i < n_rules else system.schemas[i - n_rules].rhs
-        end = match.position + match.matched_length
-        nxt = current[: match.position] + rhs + current[end:]
-        steps.append(ReductionStep(match, nxt))
-        current = nxt
+    _reduce(system, w, steps)
+    return steps
 
 
 def normal_form(system: RewritingSystem, w: Word) -> Word:
-    """The irreducible word reached from ``w`` by first-match reduction."""
-    steps = reduction_steps(system, w)
-    return steps[-1].result if steps else w
+    """The irreducible word reached from ``w`` by first-match reduction;
+    only the current word is kept."""
+    return _reduce(system, w, None)
 
 
 def is_irreducible(system: RewritingSystem, w: Word) -> bool:

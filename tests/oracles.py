@@ -82,6 +82,62 @@ def reduce_by_scanning(word, rules):
             return word
 
 
+def _rewrite_at(system, word, pos):
+    """``(index, exponent, result)`` for the lowest rule or schema
+    (rules first) whose left side starts at ``pos``, or None.  A schema
+    takes the whole run of its pumped symbol after its prefix."""
+    index = 0
+    for rule in system.rules:
+        if word[pos : pos + len(rule.lhs)] == rule.lhs:
+            return index, None, word[:pos] + rule.rhs + word[pos + len(rule.lhs) :]
+        index += 1
+    for schema in system.schemas:
+        head = pos + len(schema.prefix)
+        if word[pos:head] == schema.prefix:
+            rest = word[head:]
+            exponent = len(rest) - len(rest.lstrip(schema.pumped))
+            tail = head + exponent
+            end = tail + len(schema.suffix)
+            if exponent >= schema.min_exponent and word[tail:end] == schema.suffix:
+                return index, exponent, word[:pos] + schema.rhs + word[end:]
+        index += 1
+    return None
+
+
+def reduce_by_position(system, word):
+    """Every step of first-match reduction, rescanning the whole word
+    from its first position after each rewrite: ``(rule index, position,
+    exponent, result)`` for each step, the exponent None for a rule."""
+    steps = []
+    while True:
+        for pos in range(len(word)):
+            hit = _rewrite_at(system, word, pos)
+            if hit is not None:
+                index, exponent, word = hit
+                steps.append((index, pos, exponent, word))
+                break
+        else:
+            return steps
+
+
+def critical_pairs_by_slicing(rules):
+    """``(source, left result, right result, kind)`` of every critical
+    pair of the ``(lhs, rhs)`` rules, in the order the library yields
+    them: per ordered pair of rules, the overlaps by growing shared
+    part, each tried by slicing, then the containments from the left."""
+    pairs = []
+    for i, (u, v) in enumerate(rules):
+        for j, (z, t) in enumerate(rules):
+            for qlen in range(1, min(len(u), len(z))):
+                if u[len(u) - qlen :] == z[:qlen]:
+                    p = u[: len(u) - qlen]
+                    pairs.append((p + z, v + z[qlen:], p + t, "overlap"))
+            for k in range(len(u) - len(z) + 1):
+                if u[k : k + len(z)] == z and not (i == j and k == 0):
+                    pairs.append((u, v, u[:k] + t + u[k + len(z) :], "containment"))
+    return pairs
+
+
 def ball_by_reduction(system, side, radius, policy):
     """``(vertices, edges, frontier)`` of a Cayley ball: the irreducible
     words up to ``radius`` in shortlex order, and each product ``v.g``

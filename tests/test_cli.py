@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,3 +329,116 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+# A system that is not confluent, so reduction order decides which of
+# several normal forms a word reaches
+SCHEMA_AND_RULES = "alphabet a b\nrule b{n} -> where n >= 1\nrule b b -> a\nrule a b a -> b\n"
+
+# stdout of ``reduce -w <word>`` in text and json, recorded before each
+# scan resumed where the last rewrite could first matter
+REDUCE_OUTPUTS = [
+    (
+        "builtin:M", "abbbabbabbbbbaab",
+        "abbbabbabbbbbaab\n"
+        "  -> ababbabbbbbaab  via ab{n}a -> aba (n >= 2) at position 0 (n=3)\n"
+        "  -> abababbbbbaab  via ab{n}a -> aba (n >= 2) at position 2 (n=2)\n"
+        "  -> abababaab  via ab{n}a -> aba (n >= 2) at position 4 (n=5)\n"
+        "abababaab (3 steps)\n",
+        '{"input": "abbbabbabbbbbaab", "normal_form": "abababaab", "steps": ['
+        '{"rule": "ab{n}a -> aba (n >= 2)", "position": 0, "exponent": 3, '
+        '"result": "ababbabbbbbaab"}, '
+        '{"rule": "ab{n}a -> aba (n >= 2)", "position": 2, "exponent": 2, '
+        '"result": "abababbbbbaab"}, '
+        '{"rule": "ab{n}a -> aba (n >= 2)", "position": 4, "exponent": 5, '
+        '"result": "abababaab"}]}\n',
+    ),
+    (
+        "builtin:N", "cdddcdcddcdddddcc",
+        "cdddcdcddcdddddcc\n"
+        "  -> cdcddcdddddcc  via cdddcdc -> cdc at position 0\n"
+        "  -> cdcdcdddddcc  via cddc -> cdc at position 2\n"
+        "  -> cdcdcdcdcc  via cdddd -> cdc at position 4\n"
+        "cdcdcdcdcc (3 steps)\n",
+        '{"input": "cdddcdcddcdddddcc", "normal_form": "cdcdcdcdcc", "steps": ['
+        '{"rule": "cdddcdc -> cdc", "position": 0, "exponent": null, '
+        '"result": "cdcddcdddddcc"}, '
+        '{"rule": "cddc -> cdc", "position": 2, "exponent": null, '
+        '"result": "cdcdcdddddcc"}, '
+        '{"rule": "cdddd -> cdc", "position": 4, "exponent": null, '
+        '"result": "cdcdcdcdcc"}]}\n',
+    ),
+    (
+        SCHEMA_AND_RULES, "abbabaabbbab",
+        "abbabaabbbab\n"
+        "  -> aaabaabbbab  via bb -> a at position 1\n"
+        "  -> aababbbab  via aba -> b at position 2\n"
+        "  -> abbbbab  via aba -> b at position 1\n"
+        "  -> aabbab  via bb -> a at position 1\n"
+        "  -> aaaab  via bb -> a at position 2\n"
+        "  -> aaaa  via b{n} -> ε (n >= 1) at position 4 (n=1)\n"
+        "aaaa (6 steps)\n",
+        '{"input": "abbabaabbbab", "normal_form": "aaaa", "steps": ['
+        '{"rule": "bb -> a", "position": 1, "exponent": null, "result": "aaabaabbbab"}, '
+        '{"rule": "aba -> b", "position": 2, "exponent": null, "result": "aababbbab"}, '
+        '{"rule": "aba -> b", "position": 1, "exponent": null, "result": "abbbbab"}, '
+        '{"rule": "bb -> a", "position": 1, "exponent": null, "result": "aabbab"}, '
+        '{"rule": "bb -> a", "position": 2, "exponent": null, "result": "aaaab"}, '
+        '{"rule": "b{n} -> ε (n >= 1)", "position": 4, "exponent": 1, "result": "aaaa"}]}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("presentation, word, text, json_line", REDUCE_OUTPUTS,
+                         ids=["M", "N", "file"])
+def test_reduce_outputs_are_pinned(capsys, tmp_path, presentation, word, text, json_line):
+    if not presentation.startswith("builtin:"):
+        path = tmp_path / "system.txt"
+        path.write_text(presentation, encoding="utf-8")
+        presentation = str(path)
+    for fmt, expected in (("text", text), ("json", json_line)):
+        argv = ("reduce", "-p", presentation, "-w", word, "--format", fmt)
+        assert run(capsys, *argv) == (0, expected, "")
+
+
+# sha256 of the stdout of ``confluence -p <SCHEMA_AND_RULES>`` after its
+# first line, which names the file, recorded before each scan resumed
+# where the last rewrite could first matter
+CONFLUENCE_NOT_CONFLUENT = "d3236c2de6de263d5bc86e3d819fb28e2e6564e1694ba4d15a0a7b2f6a5c2d25"
+
+
+def test_confluence_failures_are_pinned(capsys, tmp_path):
+    path = tmp_path / "system.txt"
+    path.write_text(SCHEMA_AND_RULES, encoding="utf-8")
+    code, out, err = run(capsys, "confluence", "-p", str(path))
+    assert (code, err) == (1, "")
+    lines = out.splitlines(keepends=True)
+    assert lines[:4] == [
+        f"system: {path} (2 rules, 1 schemas)\n",
+        "bounded certificate: schemas instantiated for exponents up to 12\n",
+        "critical pairs: 952 (530 overlap, 422 containment)\n",
+        "non-joining pair: source bb -> a | b; normal forms a != ε\n",
+    ]
+    assert len(lines) == 814
+    assert sum(line.startswith("non-joining pair: ") for line in lines) == 810
+    assert hashlib.sha256("".join(lines[1:]).encode("utf-8")).hexdigest() == (
+        CONFLUENCE_NOT_CONFLUENT)
+
+
+def test_closed_stdout_gives_no_traceback(tmp_path):
+    """The reader takes one line and closes the pipe while thousands
+    are still to come."""
+    path = tmp_path / "system.txt"
+    path.write_text(SCHEMA_AND_RULES, encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "cayleyforge", "confluence", "-p", str(path),
+         "--schema-bound", "20"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert child.stdout.readline() == f"system: {path} (2 rules, 1 schemas)\n".encode()
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert (child.wait(), err) == (2, "error: cannot write stdout: Broken pipe\n")

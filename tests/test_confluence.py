@@ -3,6 +3,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cayleyforge import (
     NotConfluentError,
@@ -16,6 +17,7 @@ from cayleyforge import (
 )
 
 import oracles
+from strategies import systems
 
 
 def _as_multiset(pairs):
@@ -110,3 +112,21 @@ def test_check_requires_length_reducing():
     the confluence check never sees one."""
     with pytest.raises(ValueError, match="not length-reducing"):
         RewritingSystem(("a", "b"), (RewriteRule("ab", "ba"),))
+
+
+def _as_tuples(pairs):
+    return [(p.source, p.left_result, p.right_result, p.kind) for p in pairs]
+
+
+@given(systems(), st.integers(3, 6))
+def test_pairs_come_in_the_slicing_order(system, bound):
+    """Trying only the overlaps where ``u`` holds ``z``'s first letter
+    finds the same pairs, in the same order, as slicing every suffix."""
+    expected = oracles.critical_pairs_by_slicing(oracles.concrete_rules(system, bound))
+    assert _as_tuples(critical_pairs(system, bound)) == expected
+
+
+@pytest.mark.parametrize("bound", [40, 100])
+def test_m_pairs_come_in_the_slicing_order(sys_m, bound):
+    expected = oracles.critical_pairs_by_slicing(oracles.concrete_rules(sys_m, bound))
+    assert _as_tuples(critical_pairs(sys_m, bound)) == expected

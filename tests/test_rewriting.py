@@ -4,7 +4,7 @@ import dataclasses
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cayleyforge import (
     Match,
@@ -19,11 +19,13 @@ from cayleyforge import (
     normal_form,
     parse_presentation,
     reduction_steps,
+    system_m,
     words_equal,
 )
 from cayleyforge.rewriting import IncompleteSystemError
 
 import oracles
+from strategies import systems
 
 
 def test_find_matches_concrete_rule(sys_n):
@@ -195,16 +197,89 @@ def test_schema_bound_costs_no_memory():
         system = parse_presentation(text.format(10**6))
         assert is_irreducible(system, "ab")
         assert is_irreducible(system.mirror, "bbbbba")
-        # certify(system, 10**6) checks the one instance a b^1000000,
-        # which overlaps nothing, so it would return this system; it is
-        # built directly so as not to spell out that instance
+        # built directly so as not to spell out the instance a b^1000000
+        # inside the window
         certified = dataclasses.replace(system, certified_bound=10**6)
         balls = [build_ball(certified, side, 3, "with_frontier") for side in ("right", "left")]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 500_000
+    # the one instance a b^1000000 overlaps nothing, so certifying for
+    # real, outside the window above, returns the same system
+    assert certify(system, 10**6) == certified
     # no product in these balls is long enough to hold a left side
     small = certify(parse_presentation(text.format(5)), 5)
     for ball, side in zip(balls, ("right", "left")):
         assert ball == build_ball(small, side, 3, "with_frontier")
+
+
+def words_over(alphabet):
+    return st.text(alphabet="".join(alphabet), max_size=40)
+
+
+def run_words(alphabet):
+    """Words made of runs of one symbol, up to 12 long each, so that
+    pumped runs are often long."""
+    runs = st.tuples(st.sampled_from(alphabet), st.integers(1, 12))
+    return st.lists(runs, max_size=8).map(lambda rs: "".join(c * n for c, n in rs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(), st.data())
+def test_reduction_equals_position_first_oracle(system, data):
+    """Each scan resumes where the last rewrite can first matter; the
+    steps must still be the first matches of a scan from the start."""
+    words = st.one_of(words_over(system.alphabet), run_words(system.alphabet))
+    for word in data.draw(st.lists(words, min_size=1, max_size=10)):
+        expected = oracles.reduce_by_position(system, word)
+        steps = reduction_steps(system, word)
+        assert [
+            (s.match.rule_index, s.match.position, s.match.exponent, s.result)
+            for s in steps
+        ] == expected
+        assert normal_form(system, word) == (expected[-1][3] if expected else word)
+
+
+@pytest.mark.parametrize(
+    "rules, schema, word, expected",
+    [
+        # a concrete left side of the longest length, starting L - 1
+        # before the rewrite
+        ([("cc", "b"), ("bb", "a")], None, "bcc", [(0, 1, None, "bb"), (1, 0, None, "a")]),
+        # a schema whose pumped run ends at the rewrite
+        ([("c", "")], ("", "a", 2, "", ""), "aca", [(0, 1, None, "aa"), (1, 0, 2, "")]),
+        # a schema whose suffix starts before the rewrite and ends in it
+        ([("aa", "c")], ("", "a", 1, "bc", ""), "abaa", [(0, 2, None, "abc"), (1, 0, 1, "")]),
+    ],
+    ids=["longest-rule", "pumped-run", "suffix"],
+)
+def test_rewrite_makes_a_match_that_starts_before_it(rules, schema, word, expected):
+    """Each term of the resumed scan's start is needed: here the second
+    match starts before the first rewrite's position."""
+    system = RewritingSystem(
+        ("a", "b", "c"),
+        tuple(RewriteRule(lhs, rhs) for lhs, rhs in rules),
+        (RuleSchema(*schema),) if schema else (),
+    )
+    assert oracles.reduce_by_position(system, word) == expected
+    steps = reduction_steps(system, word)
+    assert [
+        (s.match.rule_index, s.match.position, s.match.exponent, s.result) for s in steps
+    ] == expected
+
+
+def test_normal_form_keeps_one_word():
+    """A long reduction keeps only the current word: 2 000 steps on a
+    6 001-symbol word."""
+    word = "a" + "bba" * 2000
+    system = system_m()
+    normal_form(system, "abba")  # the system's reduction data, built once
+    tracemalloc.start()
+    try:
+        result = normal_form(system, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == "a" + "ba" * 2000
+    assert peak < 1_000_000
