@@ -65,7 +65,6 @@ from .rewriting import (
     RuleSchema,
     Word,
     describe_match,
-    find_matches,
     first_match,
     is_irreducible,
     normal_form,

@@ -59,6 +59,8 @@ class UnlabelledDigraph:
     inc: list[list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"vertex count n={self.n} is negative")
         out: list[list[int]] = [[] for _ in range(self.n)]
         inc: list[list[int]] = [[] for _ in range(self.n)]
         try:

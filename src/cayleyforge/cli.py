@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .cayley import build_ball, export_dot, export_json
@@ -47,25 +48,19 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type for integers of at least ``low``."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    value = _integer(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text} is negative")
-    return value
-
-
-def _n0_value(text: str) -> int:
-    value = _integer(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("n0 must be at least 2")
-    return value
+    return parse
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -265,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("confluence", help="check local confluence via critical pairs")
     p.add_argument("-p", "--presentation", required=True)
-    p.add_argument("--schema-bound", type=_nonnegative_int,
+    p.add_argument("--schema-bound", type=_at_least(0),
                    default=DEFAULT_SCHEMA_BOUND,
                    help=f"instantiate schemas up to this exponent (default "
                         f"{DEFAULT_SCHEMA_BOUND})")
@@ -274,10 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ball", help="build a Cayley-graph ball")
     p.add_argument("-p", "--presentation", required=True)
     p.add_argument("--side", choices=("right", "left"), default="right")
-    p.add_argument("--radius", type=_nonnegative_int, required=True)
+    p.add_argument("--radius", type=_at_least(0), required=True)
     p.add_argument("--policy", choices=("closed", "with-frontier"), default="closed")
     p.add_argument("--format", choices=("dot", "json", "text"), default="text")
-    p.add_argument("--schema-bound", type=_nonnegative_int,
+    p.add_argument("--schema-bound", type=_at_least(0),
                    default=DEFAULT_SCHEMA_BOUND)
     p.add_argument("-o", "--output", default=None,
                    help="output path (default: stdout)")
@@ -288,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify the explicit right-ball isomorphism between the builtins "
              "and confirm it with an independent search",
     )
-    p.add_argument("--radius", type=_nonnegative_int, default=6)
+    p.add_argument("--radius", type=_at_least(0), default=6)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify_iso)
 
@@ -297,14 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="show that a finite truncation of the builtin M family leaves "
              "a provably equal word irreducible",
     )
-    p.add_argument("--n0", type=_n0_value, required=True)
+    p.add_argument("--n0", type=_at_least(2), required=True)
     p.set_defaults(func=cmd_truncation_test)
 
     p = sub.add_parser(
         "left-noniso",
         help="separate the left Cayley balls of the builtins by radius",
     )
-    p.add_argument("--max-radius", type=_nonnegative_int, default=8)
+    p.add_argument("--max-radius", type=_at_least(1), default=8)
     p.set_defaults(func=cmd_left_noniso)
 
     return parser

@@ -388,14 +388,13 @@ def separate_left_graphs(
     max_radius: int,
     system_a: RewritingSystem | None = None,
     system_b: RewritingSystem | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> SeparationReport:
     """Find the smallest radius at which the left balls of two systems
     (the two builtins by default) are provably non-isomorphic.
 
     Fingerprints are compared first; if they tie, the full search
-    decides.  A budget-exhausted search leaves the radius undecided and
-    is reported as such.
+    decides.  A search that spends ``DEFAULT_BUDGET`` expansions leaves
+    the radius undecided and is reported as such.
     """
     if max_radius < 1:
         raise ValueError("max_radius must be at least 1")
@@ -409,7 +408,7 @@ def separate_left_graphs(
         if difference is not None:
             lines.append(f"radius {radius}: separated, {difference}s differ")
             return SeparationReport(True, radius, difference, max_radius, tuple(lines))
-        result = find_isomorphism(g_a, g_b, budget)
+        result = find_isomorphism(g_a, g_b, DEFAULT_BUDGET)
         if result.status == "non_isomorphic":
             invariant = "exhaustive search (no isomorphism exists)"
             lines.append(f"radius {radius}: separated by {invariant}")

@@ -28,7 +28,6 @@ from .rewriting import (
     Word,
     describe_match,
     first_match,
-    is_irreducible,
 )
 
 
@@ -72,8 +71,8 @@ def _split_n(w: Word) -> int:
 
 
 def _require_irreducible(system: RewritingSystem, w: Word) -> None:
-    if not is_irreducible(system, w):
-        match = first_match(system, w)
+    match = first_match(system, w)
+    if match is not None:
         raise ClassificationError(
             f"word {w!r} is reducible: {describe_match(system, match)}"
         )
@@ -81,9 +80,9 @@ def _require_irreducible(system: RewritingSystem, w: Word) -> None:
 
 @dataclass(frozen=True)
 class MNormalForm:
-    """Decomposition ``b^s [u [b^t]]`` of an irreducible M word."""
+    """Decomposition ``b^s [u [b^t]]`` of an irreducible M word; its
+    kind is NFM1, NFM2 or NFM3 as ``u`` and ``t`` are present."""
 
-    kind: str  # "NFM1" | "NFM2" | "NFM3"
     s: int
     u: str | None = None
     t: int | None = None
@@ -91,18 +90,14 @@ class MNormalForm:
     def __post_init__(self) -> None:
         if self.s < 0:
             raise ValueError("s must be nonnegative")
-        if self.kind == "NFM1":
-            ok = self.u is None and self.t is None
-        elif self.kind == "NFM2":
-            ok = self.u is not None and self.t is None
-        elif self.kind == "NFM3":
-            ok = self.u is not None and self.t is not None and self.t > 0
-        else:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if not ok:
-            raise ValueError(f"inconsistent parameters for {self.kind}")
+        if self.t is not None and (self.u is None or self.t < 1):
+            raise ValueError("the tail b^t needs u and t > 0")
         if self.u is not None and not is_um_word(self.u):
             raise ValueError(f"{self.u!r} is not a block word over a/b")
+
+    @property
+    def kind(self) -> str:
+        return "NFM1" if self.u is None else "NFM2" if self.t is None else "NFM3"
 
     def word(self) -> Word:
         return "b" * self.s + (self.u or "") + "b" * (self.t or 0)
@@ -110,9 +105,9 @@ class MNormalForm:
 
 @dataclass(frozen=True)
 class NNormalForm:
-    """Decomposition ``d^p [v [(dddc)^q d^r]]`` of an irreducible N word."""
+    """Decomposition ``d^p [v [(dddc)^q d^r]]`` of an irreducible N word;
+    its kind is NFN1, NFN2 or NFN3 as ``v`` and ``q``, ``r`` are present."""
 
-    kind: str  # "NFN1" | "NFN2" | "NFN3"
     p: int
     v: str | None = None
     q: int | None = None
@@ -121,25 +116,18 @@ class NNormalForm:
     def __post_init__(self) -> None:
         if self.p < 0:
             raise ValueError("p must be nonnegative")
-        if self.kind == "NFN1":
-            ok = self.v is None and self.q is None and self.r is None
-        elif self.kind == "NFN2":
-            ok = self.v is not None and self.q is None and self.r is None
-        elif self.kind == "NFN3":
-            ok = (
-                self.v is not None
-                and self.q is not None
-                and self.r is not None
-                and self.q >= 0
-                and 0 <= self.r <= 3
-                and self.q + self.r > 0
-            )
-        else:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if not ok:
-            raise ValueError(f"inconsistent parameters for {self.kind}")
+        if (self.q is None) != (self.r is None):
+            raise ValueError("q and r must be given together")
+        if self.q is not None and (
+            self.v is None or self.q < 0 or not 0 <= self.r <= 3 or self.q + self.r == 0
+        ):
+            raise ValueError("the tail (dddc)^q d^r needs v, q >= 0, 0 <= r <= 3 and q + r > 0")
         if self.v is not None and not is_un_word(self.v):
             raise ValueError(f"{self.v!r} is not a block word over c/d")
+
+    @property
+    def kind(self) -> str:
+        return "NFN1" if self.v is None else "NFN2" if self.q is None else "NFN3"
 
     def word(self) -> Word:
         return "d" * self.p + (self.v or "") + "dddc" * (self.q or 0) + "d" * (self.r or 0)
@@ -154,10 +142,10 @@ def classify_m(w: Word) -> MNormalForm:
     _require_irreducible(system_m(), w)
     s = len(w) - len(w.lstrip("b"))
     if s == len(w):
-        return MNormalForm("NFM1", s)
+        return MNormalForm(s)
     cut = _split_m(w)
     u, t = w[s:cut], len(w) - cut
-    return MNormalForm("NFM3", s, u, t) if t else MNormalForm("NFM2", s, u)
+    return MNormalForm(s, u, t or None)
 
 
 def classify_n(w: Word) -> NNormalForm:
@@ -171,10 +159,10 @@ def classify_n(w: Word) -> NNormalForm:
     _require_irreducible(system_n(), w)
     p = len(w) - len(w.lstrip("d"))
     if p == len(w):
-        return NNormalForm("NFN1", p)
+        return NNormalForm(p)
     cut = _split_n(w)
     v, (q, r) = w[p:cut], divmod(len(w) - cut, 4)
-    nf = NNormalForm("NFN3", p, v, q, r) if q or r else NNormalForm("NFN2", p, v)
+    nf = NNormalForm(p, v, q, r) if q or r else NNormalForm(p, v)
     if nf.word() != w:
         raise RuntimeError(
             f"irreducible word {w!r} has tail {w[cut:]!r} after {v!r}; this "

@@ -65,7 +65,6 @@ __all__ = [
     "Match",
     "ReductionStep",
     "IncompleteSystemError",
-    "find_matches",
     "first_match",
     "describe_match",
     "reduction_steps",
@@ -394,42 +393,6 @@ class Match:
     exponent: int | None = None
 
 
-def _match_schema(schema: RuleSchema, w: Word, pos: int) -> tuple[int, int] | None:
-    """Return (exponent, matched length) for a schema match at ``pos``."""
-    if not w.startswith(schema.prefix, pos):
-        return None
-    run_start = pos + len(schema.prefix)
-    run_end = run_start
-    while run_end < len(w) and w[run_end] == schema.pumped:
-        run_end += 1
-    exponent = run_end - run_start
-    if exponent < schema.min_exponent:
-        return None
-    if not w.startswith(schema.suffix, run_end):
-        return None
-    return exponent, run_end - pos + len(schema.suffix)
-
-
-def find_matches(system: RewritingSystem, w: Word) -> list[Match]:
-    """All matches in ``w``, ordered by position then rule index.
-
-    Schema matches report the full pumped run at their position.
-    """
-    system.check_word(w)
-    n_rules = len(system.rules)
-    matches = []
-    for pos in range(len(w)):
-        for idx, rule in enumerate(system.rules):
-            if w.startswith(rule.lhs, pos):
-                matches.append(Match(idx, pos, len(rule.lhs)))
-        for jdx, schema in enumerate(system.schemas):
-            hit = _match_schema(schema, w, pos)
-            if hit is not None:
-                exponent, length = hit
-                matches.append(Match(n_rules + jdx, pos, length, exponent))
-    return matches
-
-
 def _first_match(
     system: RewritingSystem, w: Word, start: int
 ) -> tuple[int, int, int, int | None] | None:
@@ -440,9 +403,7 @@ def _first_match(
     No match may start before ``start``, so the scan begins there.  A
     schema with an empty prefix is tried only where its pumped run
     begins: a match inside a run would imply one a position earlier,
-    with the same run end and suffix.  The schema test is written out
-    here rather than calling :func:`_match_schema`, which would cost a
-    call per position of every reduction.
+    with the same run end and suffix.
     """
     lefts = system._reduction_data[0]
     n_rules = len(lefts)
@@ -468,6 +429,7 @@ def _first_match(
 
 
 def first_match(system: RewritingSystem, w: Word) -> Match | None:
+    """The first match in ``w`` in (position, rule index) order, or None."""
     system.check_word(w)
     hit = _first_match(system, w, 0)
     return None if hit is None else Match(*hit)

@@ -104,6 +104,28 @@ def _rewrite_at(system, word, pos):
     return None
 
 
+def lowest_left_side_ending(system, word):
+    """``(index, length)`` of the lowest rule or schema (rules first)
+    whose left side ends ``word``, or None.  A schema's left side takes
+    the whole run of its pumped symbol before its suffix."""
+    index = 0
+    for rule in system.rules:
+        if word.endswith(rule.lhs):
+            return index, len(rule.lhs)
+        index += 1
+    for schema in system.schemas:
+        head = word[: len(word) - len(schema.suffix)]
+        run = len(head) - len(head.rstrip(schema.pumped))
+        if (
+            word.endswith(schema.suffix)
+            and run >= schema.min_exponent
+            and head[: len(head) - run].endswith(schema.prefix)
+        ):
+            return index, len(schema.prefix) + run + len(schema.suffix)
+        index += 1
+    return None
+
+
 def reduce_by_position(system, word):
     """Every step of first-match reduction, rescanning the whole word
     from its first position after each rewrite: ``(rule index, position,

@@ -12,7 +12,6 @@ from cayleyforge import (
     build_ball,
     certify,
     enumerate_normal_forms,
-    find_matches,
     first_match,
     is_irreducible,
     parse_presentation,
@@ -58,25 +57,18 @@ def test_irreducibility_agrees_with_first_match(system, data):
 
 @given(systems(), st.data())
 def test_named_rule_is_the_lowest_ending_there(system, data):
-    """At the first state that names a rule, the rule is the lowest
-    index among the matches ending there, and its length is that of the
-    longest such match."""
+    """After each prefix of each word, the state names the lowest rule or
+    schema whose left side ends there, or None if none does, and the
+    named left side's length counts a schema's full pumped run."""
     automaton = system.automaton
-    w = data.draw(words_over(system.alphabet, 12))
-    state = automaton.start
-    for end in range(1, len(w) + 1):
-        state = automaton.step(state, automaton.symbol_ids[w[end - 1]])
-        if state.rule is not None:
-            break
-    else:
-        assert first_match(system, w) is None
-        return
-    prefix = w[:end]
-    ending = [m for m in find_matches(system, prefix) if m.position + m.matched_length == end]
-    lowest = min(m.rule_index for m in ending)
-    assert state.rule == lowest
-    longest = max(m.matched_length for m in ending if m.rule_index == lowest)
-    assert automaton.match_length(state.rule, prefix) == longest
+    for w in data.draw(st.lists(words_over(system.alphabet, 12), max_size=8)):
+        state = automaton.start
+        for end in range(1, len(w) + 1):
+            state = automaton.step(state, automaton.symbol_ids[w[end - 1]])
+            prefix, named = w[:end], state.rule
+            if named is not None:
+                named = named, automaton.match_length(named, prefix)
+            assert named == oracles.lowest_left_side_ending(system, prefix)
 
 
 @settings(deadline=None)

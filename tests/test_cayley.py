@@ -194,6 +194,8 @@ def test_digraph_rejects_out_of_range_arcs():
     for arc in ((2, 0), (-1, 0), (0, -1), (1, 5)):
         with pytest.raises(ValueError, match=re.escape(f"arc {arc} out of range for n=2")):
             UnlabelledDigraph(2, ((1, 1), arc))
+    with pytest.raises(ValueError, match=re.escape("vertex count n=-1 is negative")):
+        UnlabelledDigraph(-1, ())
 
 
 def test_digraph_adjacency_follows_the_arcs():

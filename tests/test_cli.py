@@ -234,8 +234,23 @@ def test_bad_integer_arguments_name_the_value(capsys, argv, value):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert f"expected an integer, got {value}" in err
-    assert "_nonnegative_int" not in err
-    assert "_n0_value" not in err
+    assert "invalid parse value" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, bound",
+    [
+        (["verify-iso", "--radius", "-1"], "--radius", 0),
+        (["truncation-test", "--n0", "1"], "--n0", 2),
+        (["left-noniso", "--max-radius", "0"], "--max-radius", 1),
+    ],
+)
+def test_integer_arguments_below_their_bound_name_flag_and_bound(capsys, argv, flag, bound):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: must be at least {bound}, got {argv[-1]}" in err
 
 
 # sha256 of the stdout of ``ball -p builtin:<name> --side <side> --policy

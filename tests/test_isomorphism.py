@@ -21,7 +21,7 @@ from cayleyforge import (
     validate_certificate,
     verify_explicit_iso,
 )
-from cayleyforge import normal_forms, rewriting
+from cayleyforge import isomorphism, normal_forms, rewriting
 
 # Discovered by the search below and frozen as a regression constant:
 # the left balls of the two builtins first become non-isomorphic here.
@@ -186,7 +186,7 @@ def test_verify_takes_ball_vertices_as_given(sys_m, sys_n, monkeypatch):
     for module, name in (
         (normal_forms, "classify_m"),
         (normal_forms, "classify_n"),
-        (normal_forms, "is_irreducible"),
+        (normal_forms, "first_match"),
         (rewriting, "is_irreducible"),
     ):
         monkeypatch.setattr(module, name, forbidden)
@@ -410,6 +410,17 @@ def test_left_balls_agree_below_separation(sys_m, sys_n):
     report = separate_left_graphs(LEFT_SEPARATION_RADIUS - 1)
     assert not report.separated
     assert len(report.lines) == LEFT_SEPARATION_RADIUS - 1
+
+
+def test_exhausted_budget_leaves_a_radius_undecided(monkeypatch):
+    """The search budget is read when the separation runs; an exhausted
+    search decides nothing, and the fingerprints still separate."""
+    monkeypatch.setattr(isomorphism, "DEFAULT_BUDGET", 0)
+    report = separate_left_graphs(LEFT_SEPARATION_RADIUS)
+    assert report.lines[0] == (
+        "radius 1: undecided, search budget exhausted after 1 expansions"
+    )
+    assert (report.separated, report.radius) == (True, LEFT_SEPARATION_RADIUS)
 
 
 def test_left_fingerprints_differ_at_every_radius_from_separation_on(sys_m, sys_n):

@@ -37,19 +37,56 @@ def test_block_word_recognizers():
 
 
 def test_classify_m_examples():
-    assert classify_m("bbb") == MNormalForm("NFM1", s=3)
-    assert classify_m("babab") == MNormalForm("NFM3", s=1, u="aba", t=1)
-    assert classify_m("") == MNormalForm("NFM1", s=0)
+    assert classify_m("bbb") == MNormalForm(s=3)
+    assert classify_m("babab") == MNormalForm(s=1, u="aba", t=1)
+    assert classify_m("") == MNormalForm(s=0)
     with pytest.raises(ClassificationError, match="position 0"):
         classify_m("abba")
 
 
 def test_classify_n_examples():
-    assert classify_n("dd") == NNormalForm("NFN1", p=2)
-    assert classify_n("cdddc") == NNormalForm("NFN3", p=0, v="c", q=1, r=0)
-    assert classify_n("cdc") == NNormalForm("NFN2", p=0, v="cdc")
+    assert classify_n("dd") == NNormalForm(p=2)
+    assert classify_n("cdddc") == NNormalForm(p=0, v="c", q=1, r=0)
+    assert classify_n("cdc") == NNormalForm(p=0, v="cdc")
     with pytest.raises(ClassificationError):
         classify_n("cddc")
+
+
+@pytest.mark.parametrize(
+    "form, kind, word",
+    [
+        (MNormalForm(2), "NFM1", "bb"),
+        (MNormalForm(0, "aba"), "NFM2", "aba"),
+        (MNormalForm(1, "aaba", 3), "NFM3", "baababbb"),
+        (NNormalForm(3), "NFN1", "ddd"),
+        (NNormalForm(1, "cdcc"), "NFN2", "dcdcc"),
+        (NNormalForm(0, "c", 0, 3), "NFN3", "cddd"),
+        (NNormalForm(2, "c", 2, 1), "NFN3", "ddcdddcdddcd"),
+    ],
+)
+def test_normal_form_kind_and_word(form, kind, word):
+    assert (form.kind, form.word()) == (kind, word)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MNormalForm(-1),
+        lambda: MNormalForm(0, None, 2),
+        lambda: MNormalForm(0, "a", 0),
+        lambda: MNormalForm(0, "abba"),
+        lambda: NNormalForm(-1),
+        lambda: NNormalForm(0, "c", 1),
+        lambda: NNormalForm(0, "c", None, 1),
+        lambda: NNormalForm(0, "c", 0, 4),
+        lambda: NNormalForm(0, "c", 0, 0),
+        lambda: NNormalForm(0, None, 1, 0),
+        lambda: NNormalForm(0, "cddc"),
+    ],
+)
+def test_invalid_normal_forms_are_refused(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_classifier_error_names_the_match(sys_n):

@@ -13,7 +13,6 @@ from cayleyforge import (
     RuleSchema,
     build_ball,
     certify,
-    find_matches,
     first_match,
     is_irreducible,
     normal_form,
@@ -28,37 +27,30 @@ import oracles
 from strategies import systems
 
 
-def test_find_matches_concrete_rule(sys_n):
-    matches = find_matches(sys_n, "cddc")
-    assert matches == [Match(rule_index=0, position=0, matched_length=4)]
+def test_first_match_concrete_rule(sys_n):
+    assert first_match(sys_n, "cddc") == Match(rule_index=0, position=0, matched_length=4)
 
 
-def test_find_matches_none(sys_m):
-    assert find_matches(sys_m, "aba") == []
+def test_first_match_none(sys_m):
+    assert first_match(sys_m, "aba") is None
 
 
-def test_find_matches_schema_reports_full_run(sys_m):
-    matches = find_matches(sys_m, "abbba")
-    assert matches == [Match(rule_index=0, position=0, matched_length=5, exponent=3)]
+def test_first_match_schema_reports_full_run(sys_m):
+    match = first_match(sys_m, "abbba")
+    assert match == Match(rule_index=0, position=0, matched_length=5, exponent=3)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_schema_match_exponent(sys_m, n):
     word = "a" + "b" * n + "a"
-    matches = find_matches(sys_m, word)
-    assert len(matches) == 1
-    assert matches[0].exponent == n
-    assert matches[0].matched_length == len(word)
+    match = first_match(sys_m, word)
+    assert match.exponent == n
+    assert match.matched_length == len(word)
 
 
-def test_find_matches_orders_by_position_then_rule(sys_m):
-    matches = find_matches(sys_m, "abbabba")
-    assert [(m.position, m.exponent) for m in matches] == [(0, 2), (3, 2)]
-
-
-def test_find_matches_rejects_foreign_symbol(sys_n):
+def test_matching_rejects_foreign_symbol(sys_n):
     """Also late in a word whose first factor already matches."""
-    for check in (find_matches, first_match, normal_form):
+    for check in (first_match, normal_form):
         for word in ("cadc", "cddcdcdcda"):
             with pytest.raises(ValueError) as excinfo:
                 check(sys_n, word)
@@ -162,7 +154,7 @@ def test_schema_rejects_ambiguous_run_boundary():
 
 def test_apply_match_splices_rhs(sys_n):
     # a step splices the first match's rhs in place of its factor
-    match = find_matches(sys_n, "dcddcd")[0]
+    match = first_match(sys_n, "dcddcd")
     [step] = reduction_steps(sys_n, "dcddcd")
     assert step.match == match
     assert step.result == "dcdcd"
