@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .normal_forms import _irreducible_words
+from .normal_forms import enumerate_normal_forms
 from .rewriting import (
     IncompleteSystemError,
     RewritingSystem,
@@ -42,11 +43,17 @@ class CayleyBall:
     def vertex_index(self) -> dict[Word, int]:
         return {w: i for i, w in enumerate(self.vertices)}
 
+    @cached_property
+    def _digraph(self) -> UnlabelledDigraph:
+        """See :func:`strip_labels`."""
+        return UnlabelledDigraph(len(self.vertices), [(s, d) for s, d, _ in self.edges])
+
 
 @dataclass(frozen=True)
 class UnlabelledDigraph:
     """Arc multiset on vertices 0..n-1; loops and parallel arcs allowed.
 
+    ``arcs`` is stored sorted, so equality follows the multiset.
     ``out[v]`` and ``inc[v]`` list the heads of the arcs leaving ``v``
     and the tails of the arcs entering it, with multiplicity and in arc
     order.  They are built once with the digraph, take no part in its
@@ -61,6 +68,7 @@ class UnlabelledDigraph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"vertex count n={self.n} is negative")
+        object.__setattr__(self, "arcs", tuple(sorted(self.arcs)))
         out: list[list[int]] = [[] for _ in range(self.n)]
         inc: list[list[int]] = [[] for _ in range(self.n)]
         try:
@@ -135,7 +143,7 @@ def build_ball(
         )
     right = side == "right"
     automaton = (system if right else system.mirror).automaton
-    vertices = _irreducible_words(system, radius)
+    vertices = enumerate_normal_forms(system, radius)
     # Each vertex as its automaton reads it: forwards on the right,
     # backwards on the left.
     reads = vertices if right else [v[::-1] for v in vertices]
@@ -183,10 +191,10 @@ def build_ball(
 
 
 def strip_labels(ball: CayleyBall) -> UnlabelledDigraph:
-    """Drop generator labels, keeping arc multiplicities."""
-    return UnlabelledDigraph(
-        len(ball.vertices), tuple(sorted([(s, d) for s, d, _ in ball.edges]))
-    )
+    """Drop generator labels, keeping arc multiplicities.  The digraph is
+    built on the first call and kept with the ball, so each ball is
+    stripped once."""
+    return ball._digraph
 
 
 @dataclass(frozen=True)

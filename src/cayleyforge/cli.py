@@ -15,7 +15,7 @@ import sys
 from collections.abc import Callable
 from pathlib import Path
 
-from .cayley import build_ball, export_dot, export_json
+from .cayley import build_ball, export_dot, export_json, strip_labels
 from .confluence import (
     DEFAULT_SCHEMA_BOUND,
     NotConfluentError,
@@ -166,7 +166,7 @@ def cmd_verify_iso(args: argparse.Namespace) -> int:
     ball_m = build_ball(system_m(), "right", args.radius, "closed")
     ball_n = build_ball(system_n(), "right", args.radius, "closed")
     report = verify_explicit_iso(ball_m, ball_n)
-    search = find_isomorphism(*report.graphs)
+    search = find_isomorphism(strip_labels(ball_m), strip_labels(ball_n))
     ok = report.verified and search.status == "isomorphic"
 
     if args.format == "json":

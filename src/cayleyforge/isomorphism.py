@@ -23,7 +23,7 @@ import heapq
 import json
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cayley import (
     CayleyBall,
@@ -59,13 +59,13 @@ def validate_certificate(
         if not 0 <= v < g2.n or hits[v]:
             return "mapping is not a bijection"
         hits[v] = 1
-    image = sorted([(mapping[s], mapping[d]) for s, d in g1.arcs])
-    target = sorted(g2.arcs)
+    image = tuple(sorted([(mapping[s], mapping[d]) for s, d in g1.arcs]))
+    target = g2.arcs
     if image == target:
         return None
-    # Up to the first position where the sorted lists part, they hold the
-    # same arcs, so the least arc there is the least arc whose
-    # multiplicity differs.
+    # Both are sorted, g2.arcs by construction.  Up to the first position
+    # where they part, they hold the same arcs, so the least arc there is
+    # the least arc whose multiplicity differs.
     k = 0
     while image[k : k + 1] == target[k : k + 1]:
         k += 1
@@ -76,30 +76,21 @@ def validate_certificate(
 class IsoReport:
     """Outcome of verifying the explicit normal-form bijection on a ball
     pair; ``witness`` carries the first failing vertex or the certificate
-    defect, and ``graphs`` the two stripped balls, for a caller that goes
-    on to search them."""
+    defect."""
 
     status: str  # "verified" | "counterexample"
     mapping: tuple[int, ...] | None
     witness: tuple[str, str] | None  # ("vertex-map" | "arcs", detail)
     arcs_checked: int
     vertices_checked: int
-    graphs: tuple[UnlabelledDigraph, UnlabelledDigraph] = field(
-        compare=False, repr=False
-    )
 
     @property
     def verified(self) -> bool:
         return self.status == "verified"
 
 
-def _counterexample(
-    direction: str,
-    detail: str,
-    vertices: int,
-    graphs: tuple[UnlabelledDigraph, UnlabelledDigraph],
-) -> IsoReport:
-    return IsoReport("counterexample", None, (direction, detail), 0, vertices, graphs)
+def _counterexample(direction: str, detail: str, vertices: int) -> IsoReport:
+    return IsoReport("counterexample", None, (direction, detail), 0, vertices)
 
 
 def verify_explicit_iso(ball_m: CayleyBall, ball_n: CayleyBall) -> IsoReport:
@@ -112,7 +103,6 @@ def verify_explicit_iso(ball_m: CayleyBall, ball_n: CayleyBall) -> IsoReport:
     or the ``vertex-map`` witness names it.  The resulting mapping is
     then checked by :func:`validate_certificate` on the two stripped
     balls, and its first defect is reported as an ``arcs`` witness.
-    Each ball is stripped once, and the report keeps both digraphs.
     """
     for ball in (ball_m, ball_n):
         if ball.side != "right":
@@ -123,33 +113,28 @@ def verify_explicit_iso(ball_m: CayleyBall, ball_n: CayleyBall) -> IsoReport:
         raise ValueError(
             f"radii differ: {ball_m.radius} vs {ball_n.radius}"
         )
-    graphs = (strip_labels(ball_m), strip_labels(ball_n))
     n_vertices = len(ball_m.vertices)
     if n_vertices != len(ball_n.vertices):
         return _counterexample(
             "vertex-map",
             f"vertex counts differ: {n_vertices} vs {len(ball_n.vertices)}",
             n_vertices,
-            graphs,
         )
     index_n = ball_n.vertex_index()
     mapping: list[int] = []
     for word in ball_m.vertices:
         image = phi(word)
         if image not in index_n:
-            return _counterexample(
-                "vertex-map", f"{word!r} maps to {image!r}, not a ball vertex",
-                n_vertices,
-                graphs,
-            )
+            detail = f"{word!r} maps to {image!r}, not a ball vertex"
+            return _counterexample("vertex-map", detail, n_vertices)
         mapping.append(index_n[image])
-    defect = validate_certificate(*graphs, tuple(mapping))
-    if defect is not None:
-        return _counterexample("arcs", defect, n_vertices, graphs)
-    arcs_checked = len(ball_m.edges) + len(ball_n.edges)
-    return IsoReport(
-        "verified", tuple(mapping), None, arcs_checked, n_vertices, graphs
+    defect = validate_certificate(
+        strip_labels(ball_m), strip_labels(ball_n), tuple(mapping)
     )
+    if defect is not None:
+        return _counterexample("arcs", defect, n_vertices)
+    arcs_checked = len(ball_m.edges) + len(ball_n.edges)
+    return IsoReport("verified", tuple(mapping), None, arcs_checked, n_vertices)
 
 
 @dataclass(frozen=True)

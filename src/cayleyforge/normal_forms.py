@@ -217,7 +217,7 @@ def n_to_m(w: Word) -> Word:
     return cd_to_ab(w[:cut]) + "b" * (len(w) - cut)
 
 
-def _irreducible_words(system: RewritingSystem, max_len: int) -> list[Word]:
+def enumerate_normal_forms(system: RewritingSystem, max_len: int) -> list[Word]:
     """All irreducible words of length up to ``max_len`` in shortlex
     order.
 
@@ -227,6 +227,12 @@ def _irreducible_words(system: RewritingSystem, max_len: int) -> list[Word]:
     occurring in a prefix occurs in the whole word, so prefixes of
     irreducible words are irreducible.
     """
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+    if not system.is_certified:
+        raise IncompleteSystemError(
+            "enumerate_normal_forms needs a certified system; call certify() first"
+        )
     automaton = system.automaton
     words: list[Word] = [""]
     states = [automaton.start]
@@ -244,14 +250,3 @@ def _irreducible_words(system: RewritingSystem, max_len: int) -> list[Word]:
             break
         begin = end
     return words
-
-
-def enumerate_normal_forms(system: RewritingSystem, max_len: int) -> list[Word]:
-    """All irreducible words of length up to ``max_len`` in shortlex order."""
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
-    if not system.is_certified:
-        raise IncompleteSystemError(
-            "enumerate_normal_forms needs a certified system; call certify() first"
-        )
-    return _irreducible_words(system, max_len)

@@ -36,15 +36,15 @@ once, at C speed.  :func:`normal_form` keeps only the current word, and
 the lengths the lemma needs are computed once per system, on its first
 reduction.
 
-Irreducibility is decided by a :class:`LeftSideAutomaton`, a matcher
-over all left sides that is determinised on demand.  A system builds
-it, and its :attr:`RewritingSystem.mirror`, the first time either is
-asked for, and keeps them; nothing is built at import or when a system
-is constructed or certified.  The automaton's transition table grows
-as words are read, but each new state is published whole, by a single
-dictionary insertion, before any transition points to it, so a reader
-never sees a partly built state.  Results never depend on what has been
-cached.
+A word is irreducible when that scan finds no first match.  Normal-form
+enumeration and balls read a :class:`LeftSideAutomaton`, a matcher over
+all left sides that is determinised on demand.  A system builds it, and
+its :attr:`RewritingSystem.mirror`, the first time either is asked for,
+and keeps them; nothing is built at import or when a system is
+constructed or certified.  The transition table grows as words are
+read, but each new state is published whole, by a single dictionary
+insertion, before any transition points to it, so a reader never sees a
+partly built state.  Results never depend on what has been cached.
 
 All values are otherwise immutable; every function is a pure function
 of its arguments and safe to call concurrently.
@@ -190,7 +190,9 @@ class RewritingSystem:
         return self.certified_bound is not None
 
     def check_word(self, w: Word) -> None:
-        """Raise ValueError if ``w`` uses a symbol outside the alphabet."""
+        """Raise ValueError naming the first symbol of ``w`` outside the alphabet."""
+        if not w.strip("".join(self.alphabet)):
+            return
         for ch in w:
             if ch not in self.alphabet:
                 raise ValueError(
@@ -489,18 +491,6 @@ def normal_form(system: RewritingSystem, w: Word) -> Word:
 
 
 def is_irreducible(system: RewritingSystem, w: Word) -> bool:
-    """Whether no left side occurs in ``w``; equal to
-    ``first_match(system, w) is None``, read off the system's automaton.
-
-    ``w`` goes through :meth:`RewritingSystem.check_word` first, so a
-    symbol outside the alphabet raises its ValueError wherever it is,
-    also after a left side.
-    """
-    system.check_word(w)
-    automaton = system.automaton
-    state = automaton.start
-    for ch in w:
-        state = automaton.step(state, automaton.symbol_ids[ch])
-        if state.rule is not None:
-            return False
-    return True
+    """Whether no left side occurs in ``w``: :func:`first_match` finds
+    none, and raises on a symbol outside the alphabet wherever it is."""
+    return first_match(system, w) is None

@@ -201,11 +201,26 @@ def test_digraph_rejects_out_of_range_arcs():
 def test_digraph_adjacency_follows_the_arcs():
     arcs = ((0, 0), (0, 1), (2, 1), (0, 1), (1, 0), (0, 0))
     g = UnlabelledDigraph(3, arcs)
-    assert g.out == [[0, 1, 1, 0], [0], [1]]
-    assert g.inc == [[0, 1, 0], [0, 2, 0], []]
+    assert g.out == [[0, 0, 1, 1], [0], [1]]
+    assert g.inc == [[0, 0, 1], [0, 0, 2], []]
     for v in range(g.n):
         assert Counter(g.out[v]) == Counter(d for s, d in arcs if s == v)
         assert Counter(g.inc[v]) == Counter(s for s, d in arcs if d == v)
+
+
+def test_digraph_equality_follows_the_arc_multiset():
+    first = UnlabelledDigraph(2, ((1, 0), (0, 1), (1, 0)))
+    second = UnlabelledDigraph(2, ((1, 0), (1, 0), (0, 1)))
+    assert first == second
+    assert hash(first) == hash(second)
+    assert repr(first) == repr(second)
+    assert repr(first) == "UnlabelledDigraph(n=2, arcs=((0, 1), (1, 0), (1, 0)))"
+    assert first != UnlabelledDigraph(2, ((1, 0), (0, 1)))
+
+
+def test_strip_labels_is_built_once_per_ball(sys_m):
+    ball = build_ball(sys_m, "right", 4, "closed")
+    assert strip_labels(ball) is strip_labels(ball)
 
 
 def test_digraph_adjacency_stays_out_of_equality_hash_and_repr():

@@ -138,13 +138,14 @@ def test_verify_detects_a_duplicated_arc(sys_m, sys_n):
     )
 
 
-def test_verify_report_keeps_the_stripped_balls(sys_m, sys_n):
+def test_verify_leaves_each_ball_stripped(sys_m, sys_n):
+    """The digraphs that verification checks stay with the balls, so a
+    search after it strips neither ball again."""
     ball_m, ball_n = _right_balls(sys_m, sys_n, 4)
-    report = verify_explicit_iso(ball_m, ball_n)
-    assert report.graphs == (strip_labels(ball_m), strip_labels(ball_n))
-    assert "graphs" not in repr(report)
-    broken = type(ball_n)("right", 4, "closed", ball_n.vertices, ball_n.edges[1:])
-    assert verify_explicit_iso(ball_m, broken).graphs[1] == strip_labels(broken)
+    assert "_digraph" not in vars(ball_m) and "_digraph" not in vars(ball_n)
+    assert verify_explicit_iso(ball_m, ball_n).verified
+    assert vars(ball_m)["_digraph"] is strip_labels(ball_m)
+    assert vars(ball_n)["_digraph"] is strip_labels(ball_n)
 
 
 def test_certificate_bijection_and_witness():

@@ -8,17 +8,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayleyforge import (
+    DEFAULT_SCHEMA_BOUND,
+    NotConfluentError,
     PresentationError,
     RewriteRule,
+    UnlabelledDigraph,
+    build_ball,
+    certify,
     cli,
+    find_isomorphism,
     RuleSchema,
     is_irreducible,
     load_presentation,
     normal_form,
     parse_presentation,
+    strip_labels,
     system_m,
     system_n,
     truncated_system_m,
+    validate_certificate,
 )
 
 
@@ -273,12 +281,15 @@ def _presentation_texts(draw):
 
 
 @settings(deadline=None)
-@given(_presentation_texts())
-def test_presentation_texts_parse_or_name_their_line(tmp_path_factory, text):
+@given(_presentation_texts(), st.randoms(use_true_random=False))
+def test_presentation_texts_parse_or_name_their_line(tmp_path_factory, text, rng):
     """Every text parses or names the line at fault, and a parsed one
-    runs through ``confluence`` and ``ball`` with exit code 0, 1 or 2."""
+    runs through ``confluence`` and ``ball`` with exit code 0, 1 or 2.
+    The search finds a validated isomorphism from the radius-3 right
+    ball of a parsed system that certifies to a randomly relabelled
+    copy of that ball."""
     try:
-        parse_presentation(text)
+        system = parse_presentation(text)
     except PresentationError as exc:
         message = str(exc)
         if message != "no alphabet declaration":
@@ -294,3 +305,14 @@ def test_presentation_texts_parse_or_name_their_line(tmp_path_factory, text):
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
         assert code in (0, 1, 2), (argv, text)
+    try:
+        system = certify(system, DEFAULT_SCHEMA_BOUND)
+    except NotConfluentError:
+        return
+    graph = strip_labels(build_ball(system, "right", 3, "closed"))
+    relabel = list(range(graph.n))
+    rng.shuffle(relabel)
+    copy = UnlabelledDigraph(graph.n, [(relabel[s], relabel[d]) for s, d in graph.arcs])
+    result = find_isomorphism(graph, copy)
+    assert result.status == "isomorphic", text
+    assert validate_certificate(graph, copy, result.certificate.mapping) is None

@@ -49,9 +49,10 @@ def test_schema_match_exponent(sys_m, n):
 
 
 def test_matching_rejects_foreign_symbol(sys_n):
-    """Also late in a word whose first factor already matches."""
+    """Also late in a word whose first factor already matches; of two
+    foreign symbols, the first is named."""
     for check in (first_match, normal_form):
-        for word in ("cadc", "cddcdcdcda"):
+        for word in ("cadc", "cddcdcdcda", "cdacbd"):
             with pytest.raises(ValueError) as excinfo:
                 check(sys_n, word)
             assert str(excinfo.value) == "symbol 'a' is not in the alphabet {c, d}"
