@@ -133,9 +133,8 @@ def cmd_ball(args: argparse.Namespace) -> int:
     if not system.is_certified:
         try:
             system = certify(system, args.schema_bound)
-        except NotConfluentError:
-            print("system is not locally confluent; refusing to build a ball",
-                  file=sys.stderr)
+        except NotConfluentError as exc:
+            print(f"{exc}; refusing to build a ball", file=sys.stderr)
             return EXIT_PROPERTY_FAILED
     policy = args.policy.replace("-", "_")
     ball = build_ball(system, args.side, args.radius, policy)

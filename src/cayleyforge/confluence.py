@@ -121,6 +121,12 @@ class PairFailure:
 
 @dataclass(frozen=True)
 class ConfluenceReport:
+    """The pairs checked, in :func:`critical_pairs` order, and those among
+    them whose descendants reduce to different normal forms.  A report
+    from :func:`check_local_confluence` covers every pair; the one that
+    :func:`certify` attaches to :class:`NotConfluentError` stops at the
+    first failure, so its counts end there and it holds one failure."""
+
     passed: bool
     pair_count: int
     overlap_count: int
@@ -129,14 +135,13 @@ class ConfluenceReport:
     failures: tuple[PairFailure, ...]
 
 
-def check_local_confluence(
-    system: RewritingSystem, schema_bound: int = DEFAULT_SCHEMA_BOUND
+def _check(
+    system: RewritingSystem, schema_bound: int, stop_at_failure: bool
 ) -> ConfluenceReport:
-    """Reduce both descendants of every critical pair, as
-    :func:`critical_pairs` yields it, and report any pair whose normal
-    forms differ.  Pairs and overlaps are counted on the way; no list of
-    pairs is kept.
-    """
+    """Reduce both descendants of each critical pair, in the order
+    :func:`critical_pairs` yields them, counting pairs and overlaps on
+    the way; no list of pairs is kept.  With ``stop_at_failure`` the
+    check ends at the first pair whose normal forms differ."""
     failures = []
     pairs = overlaps = 0
     for pair in critical_pairs(system, schema_bound):
@@ -147,6 +152,8 @@ def check_local_confluence(
         right = normal_form(system, pair.right_result)
         if left != right:
             failures.append(PairFailure(pair, left, right))
+            if stop_at_failure:
+                break
     return ConfluenceReport(
         passed=not failures,
         pair_count=pairs,
@@ -157,16 +164,26 @@ def check_local_confluence(
     )
 
 
+def check_local_confluence(
+    system: RewritingSystem, schema_bound: int = DEFAULT_SCHEMA_BOUND
+) -> ConfluenceReport:
+    """Check every critical pair and report each one whose normal forms
+    differ."""
+    return _check(system, schema_bound, stop_at_failure=False)
+
+
 def certify(
     system: RewritingSystem, schema_bound: int = DEFAULT_SCHEMA_BOUND
 ) -> RewritingSystem:
     """Return a copy of ``system`` carrying a confluence certificate.
 
-    Raises :class:`NotConfluentError` if some critical pair does not
-    join.  For systems with schemas the certificate is bounded: overlaps
-    are checked for exponents up to ``schema_bound`` only.
+    Raises :class:`NotConfluentError` at the first critical pair that
+    does not join, since one such pair already shows that the system is
+    not locally confluent; the error's report covers the pairs checked
+    up to it.  For systems with schemas the certificate is bounded:
+    overlaps are checked for exponents up to ``schema_bound`` only.
     """
-    report = check_local_confluence(system, schema_bound)
+    report = _check(system, schema_bound, stop_at_failure=True)
     if not report.passed:
         raise NotConfluentError(report)
     return dataclasses.replace(system, certified_bound=schema_bound)

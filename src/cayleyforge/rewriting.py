@@ -26,15 +26,22 @@ a match, and the word before ``s`` does not change, so any new match
 must reach ``s``.  A concrete left side of length at most ``L``, the
 longest one, then starts at or after ``s - (L - 1)``.  A schema match
 has only its prefix, one pumped run and part of its suffix before
-``s``, so it starts at or after ``r - len(prefix)``, where ``r`` is the
-start of the maximal run of its pumped symbol that ends at
-``max(0, s - len(suffix))``.  The scan resumes at the least of these
-bounds (and at least 0), and finds exactly the match that a scan from
-0 would.  With left sides of bounded length, all scans of one reduction
-together read O(``|w|``) positions; each rewrite also copies the word
-once, at C speed.  :func:`normal_form` keeps only the current word, and
-the lengths the lemma needs are computed once per system, on its first
-reduction.
+``s``.  If it starts before ``s - len(suffix) - len(prefix)``, its run
+covers position ``s - len(suffix) - 1`` and is maximal, so it is the
+run of the pumped symbol that ends at ``s - len(suffix)`` (at least 0),
+found with ``rstrip``, and the match starts at ``r - len(prefix)``,
+where ``r`` is that run's start.  So each schema is tested alone at
+that one position, the earliest such match in (position, rule index)
+order is the first match, and only when there is none does the scan
+resume, at the least of ``s - (L - 1)`` and each schema's
+``s - len(suffix) - len(prefix)`` (and at least 0).  Either way it
+finds exactly the match that a scan from 0 would.  With left sides of
+bounded length, all scans of one reduction together read O(``|w|``)
+positions, and a long run before many rewrites is not read again; each
+rewrite also copies the word once, and ``rstrip`` reads back to the
+run's start, both at C speed.  :func:`normal_form` keeps only the
+current word, and the lengths the lemma needs are computed once per
+system, on its first reduction.
 
 A word is irreducible when that scan finds no first match.  Normal-form
 enumeration and balls read a :class:`LeftSideAutomaton`, a matcher over
@@ -456,19 +463,35 @@ def _reduce(system: RewritingSystem, w: Word, steps: list[ReductionStep] | None)
     where each scan resumes."""
     system.check_word(w)
     _, rights, longest, schemas = system._reduction_data
-    start = 0
-    while (hit := _first_match(system, w, start)) is not None:
+    hit = _first_match(system, w, 0)
+    while hit is not None:
         i, s, length, exponent = hit
         w = w[:s] + rights[i] + w[s + length :]
         if steps is not None:
             steps.append(ReductionStep(Match(i, s, length, exponent), w))
         start = s - longest + 1
-        for suffix_len, pumped, prefix_len in schemas:
-            r = max(0, s - suffix_len)
-            while r and w[r - 1] == pumped:
-                r -= 1
-            start = min(start, r - prefix_len)
+        for suffix_len, _, prefix_len in schemas:
+            start = min(start, s - suffix_len - prefix_len)
         start = max(0, start)
+        hit = None
+        for j, (suffix_len, pumped, prefix_len) in enumerate(schemas):
+            run_end = max(0, s - suffix_len)
+            run_start = len(w[:run_end].rstrip(pumped))
+            pos = run_start - prefix_len
+            if pos < 0 or pos >= start or (hit is not None and pos >= hit[1]):
+                continue
+            schema = system.schemas[j]
+            end = run_end  # w[run_start:run_end] is a run of the pumped symbol
+            while end < len(w) and w[end] == pumped:
+                end += 1
+            if (
+                w.startswith(schema.prefix, pos)
+                and end - run_start >= schema.min_exponent
+                and w.startswith(schema.suffix, end)
+            ):
+                hit = len(system.rules) + j, pos, end - pos + suffix_len, end - run_start
+        if hit is None:
+            hit = _first_match(system, w, start)
     return w
 
 

@@ -129,9 +129,9 @@ def test_ball_text_and_output_file(capsys, tmp_path):
 def test_ball_from_presentation_file_is_certified_first(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text(NON_CONFLUENT, encoding="utf-8")
-    code, _, err = run(capsys, "ball", "-p", str(path), "--radius", "2")
-    assert code == 1
-    assert "not locally confluent" in err
+    code, out, err = run(capsys, "ball", "-p", str(path), "--radius", "2")
+    assert (code, out) == (1, "")
+    assert "not locally confluent: source 'aba'" in err
 
 
 def test_ball_from_presentation_file_matches_builtin(capsys, tmp_path):

@@ -130,3 +130,27 @@ def test_pairs_come_in_the_slicing_order(system, bound):
 def test_m_pairs_come_in_the_slicing_order(sys_m, bound):
     expected = oracles.critical_pairs_by_slicing(oracles.concrete_rules(sys_m, bound))
     assert _as_tuples(critical_pairs(sys_m, bound)) == expected
+
+
+@given(systems())
+def test_certify_stops_at_the_first_pair_that_does_not_join(system):
+    """``certify`` accepts exactly what the full check passes; when it
+    refuses, its report ends at the first failure of the full check,
+    and its message is the one the full report gives."""
+    full = check_local_confluence(system)
+    try:
+        certified = certify(system)
+    except NotConfluentError as exc:
+        assert not full.passed
+        report = exc.report
+        assert report.failures == full.failures[:1]
+        assert str(exc) == str(NotConfluentError(full))
+        pairs = list(critical_pairs(system))
+        checked = pairs[: pairs.index(full.failures[0].pair) + 1]
+        assert not report.passed
+        assert report.pair_count == len(checked)
+        assert report.overlap_count == sum(p.kind == "overlap" for p in checked)
+        assert report.containment_count == len(checked) - report.overlap_count
+    else:
+        assert full.passed
+        assert certified.certified_bound == full.schema_bound

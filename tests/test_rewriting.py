@@ -1,6 +1,7 @@
 """Matching, reduction, and rules that must shorten the word."""
 
 import dataclasses
+import time
 import tracemalloc
 
 import pytest
@@ -244,8 +245,11 @@ def test_reduction_equals_position_first_oracle(system, data):
         ([("c", "")], ("", "a", 2, "", ""), "aca", [(0, 1, None, "aa"), (1, 0, 2, "")]),
         # a schema whose suffix starts before the rewrite and ends in it
         ([("aa", "c")], ("", "a", 1, "bc", ""), "abaa", [(0, 2, None, "abc"), (1, 0, 1, "")]),
+        # a schema match before the resumed scan, found by testing the one
+        # position where its pumped run starts
+        ([("ac", "c")], ("", "b", 1, "c", ""), "bbac", [(0, 2, None, "bbc"), (1, 0, 2, "")]),
     ],
-    ids=["longest-rule", "pumped-run", "suffix"],
+    ids=["longest-rule", "pumped-run", "suffix", "run-start"],
 )
 def test_rewrite_makes_a_match_that_starts_before_it(rules, schema, word, expected):
     """Each term of the resumed scan's start is needed: here the second
@@ -260,6 +264,19 @@ def test_rewrite_makes_a_match_that_starts_before_it(rules, schema, word, expect
     assert [
         (s.match.rule_index, s.match.position, s.match.exponent, s.result) for s in steps
     ] == expected
+
+
+def test_long_run_before_many_rewrites_is_not_rescanned():
+    """4 000 rewrites right after a 4 000-symbol pumped run: each tests
+    the schema once at the run's start instead of rescanning the run
+    (the scan from the run took seconds here)."""
+    system = parse_presentation(
+        "alphabet b c d\nrule c c -> c\nrule b{n} d -> where n >= 1\n"
+    )
+    k = 4000
+    start = time.perf_counter()
+    assert normal_form(system, "b" * k + "c" * k) == "b" * k + "c"
+    assert time.perf_counter() - start < 2.0
 
 
 def test_normal_form_keeps_one_word():
