@@ -44,8 +44,10 @@ current word, and the lengths the lemma needs are computed once per
 system, on its first reduction.
 
 A word is irreducible when that scan finds no first match.  Normal-form
-enumeration and balls read a :class:`LeftSideAutomaton`, a matcher over
-all left sides that is determinised on demand.  A system builds it, and
+enumeration and balls read a :class:`LeftSideAutomaton`, whose states
+are sets of dotted items (a left side and how much of it has been read,
+a schema's pumped run counted only up to its minimum), built on demand
+by the subset construction.  A system builds it, and
 its :attr:`RewritingSystem.mirror`, the first time either is asked for,
 and keeps them; nothing is built at import or when a system is
 constructed or certified.  The transition table grows as words are
@@ -260,116 +262,84 @@ class RewritingSystem:
 class AutomatonState:
     """A state of a :class:`LeftSideAutomaton`.
 
-    ``rule`` is the lowest combined index of a left side that ends where
-    the word read so far ends, or None if no left side does.
-    ``next[j]`` is the state after one more symbol with id ``j``, or
-    None until :meth:`LeftSideAutomaton.step` has computed it.
+    ``items`` is the set of dotted items ``(index, k)`` that hold after
+    the word read so far.  ``rule`` is the lowest combined index of a
+    left side that ends where that word ends, or None if no left side
+    does.  ``next[j]`` is the state after one more symbol with id ``j``,
+    or None until :meth:`LeftSideAutomaton.step` has computed it.
     """
 
-    __slots__ = ("positions", "rule", "next")
+    __slots__ = ("items", "rule", "next")
 
-    def __init__(self, positions: frozenset[int], rule: int | None, width: int) -> None:
-        self.positions = positions
+    def __init__(
+        self, items: frozenset[tuple[int, int]], rule: int | None, width: int
+    ) -> None:
+        self.items = items
         self.rule = rule
         self.next: list[AutomatonState | None] = [None] * width
 
 
 class LeftSideAutomaton:
-    """Aho–Corasick-style matcher over the left sides of a system,
-    determinised on demand.
+    """Matcher over the left sides of a system, determinised on demand
+    by the subset construction over dotted items (Aho & Corasick 1975).
 
-    The underlying NFA has one trie for all concrete left sides, so a
-    shared prefix is one node, and one chain per schema
-    ``p c^k c* s``, with a loop on ``c`` after ``k`` copies.  The first
-    ``k - 1`` copies lead through a counted range of positions that
-    store no moves: each goes on ``c`` to the next one, so the NFA's
-    size does not grow with ``k``.  Reading a word from :attr:`start`
-    restarts every chain at every position, so the state reached is the
-    set of NFA positions that some suffix of the word leads to, and its
-    ``rule`` names a left side ending there.  A word is irreducible
-    exactly when no prefix of it reaches a state that names a rule.  A
-    state and each transition are computed the first time they are
-    needed.
+    Each left side, at a combined index (rules first, then schemas), is
+    held once as ``(head, loop, count, tail)``: a concrete left side is
+    ``(lhs, "", 0, "")`` and a schema ``p c^n s`` with ``n >= m`` is
+    ``(p, c, m, s)``.  An item ``(index, k)`` says that the last symbols
+    read are the first ``k`` symbols of that left side.  For a schema,
+    ``k`` counts the prefix, then at most ``m`` pumped copies, stays
+    there while the pumped symbol repeats, and then counts the suffix,
+    so a bound such as ``n >= 1000000`` costs no more than ``n >= 2``.
+    A state is the set of items that hold; every left side restarts at
+    ``k = 0`` on each symbol, and its ``rule`` is the lowest index whose
+    item is complete.  A word is irreducible exactly when no prefix of
+    it reaches a state that names a rule.  A state and each transition
+    are computed the first time they are needed.
 
     Symbols are given by their id, the position in the alphabet.
     """
 
     def __init__(self, system: RewritingSystem) -> None:
-        ids = {g: j for j, g in enumerate(system.alphabet)}
-        moves: dict[int, dict[int, int]] = {}  # NFA position -> symbol id -> position
-        accepts: dict[int, int] = {}  # lowest rule index ending at a position
-        runs: list[tuple[int, int, int]] = []  # counted positions lo..hi-1, symbol id
-        size = 0
-
-        def new_position() -> int:
-            nonlocal size
-            moves[size] = {}
-            size += 1
-            return size - 1
-
-        def extend(pos: int, word: str) -> int:
-            for ch in word:
-                nxt = moves[pos].get(ids[ch])
-                if nxt is None:
-                    nxt = moves[pos][ids[ch]] = new_position()
-                pos = nxt
-            return pos
-
-        root = new_position()
-        initial = [root]
-        for i, rule in enumerate(system.rules):
-            accepts.setdefault(extend(root, rule.lhs), i)
-        for j, schema in enumerate(system.schemas):
-            initial.append(new_position())
-            head = extend(initial[-1], schema.prefix)
-            pumped = ids[schema.pumped]
-            moves[head][pumped] = size
-            runs.append((size, size + schema.min_exponent - 1, pumped))
-            size += schema.min_exponent - 1
-            run = new_position()
-            moves[run][pumped] = run
-            accepts[extend(run, schema.suffix)] = len(system.rules) + j
-
-        self.symbol_ids = ids
+        self.symbol_ids = {g: j for j, g in enumerate(system.alphabet)}
         self.rhs_ids = tuple(
-            tuple(ids[ch] for ch in rhs)
+            tuple(self.symbol_ids[ch] for ch in rhs)
             for rhs in [r.rhs for r in system.rules] + [s.rhs for s in system.schemas]
         )
-        self._rules = system.rules
-        self._schemas = system.schemas
-        self._moves = moves
-        self._accepts = accepts
-        self._runs = runs
-        self._initial = frozenset(initial)
-        self._states: dict[frozenset[int], AutomatonState] = {}
+        self._alphabet = system.alphabet
+        self._pieces = tuple([(r.lhs, "", 0, "") for r in system.rules] + [
+            (s.prefix, s.pumped, s.min_exponent, s.suffix) for s in system.schemas
+        ])
+        self._ends = tuple(len(h) + m + len(t) for h, _, m, t in self._pieces)
+        self._initial = frozenset((i, 0) for i in range(len(self._pieces)))
+        self._states: dict[frozenset[tuple[int, int]], AutomatonState] = {}
         self.start = self._state(self._initial)
 
-    def _state(self, positions: frozenset[int]) -> AutomatonState:
-        state = self._states.get(positions)
+    def _state(self, items: frozenset[tuple[int, int]]) -> AutomatonState:
+        state = self._states.get(items)
         if state is None:
-            named = [self._accepts[p] for p in positions if p in self._accepts]
+            complete = [i for i, k in items if k == self._ends[i]]
             state = AutomatonState(
-                positions, min(named) if named else None, len(self.symbol_ids)
+                items, min(complete, default=None), len(self._alphabet)
             )
-            state = self._states.setdefault(positions, state)
+            state = self._states.setdefault(items, state)
         return state
 
     def step(self, state: AutomatonState, symbol: int) -> AutomatonState:
         """The state after reading symbol id ``symbol`` in ``state``."""
         target = state.next[symbol]
         if target is None:
-            heads = set(self._initial)
-            for p in state.positions:
-                move = self._moves.get(p)
-                if move is None:
-                    heads.update(
-                        p + 1
-                        for lo, hi, pumped in self._runs
-                        if lo <= p < hi and symbol == pumped
-                    )
-                elif symbol in move:
-                    heads.add(move[symbol])
-            target = self._state(frozenset(heads))
+            ch = self._alphabet[symbol]
+            items = set(self._initial)
+            for i, k in state.items:
+                head, loop, count, tail = self._pieces[i]
+                t = k - len(head) - count  # tail symbols read, < 0 inside the run
+                expected = head[k] if k < len(head) else loop if t < 0 else tail[t : t + 1]
+                if t == 0 and ch == loop:
+                    items.add((i, k))  # the pumped run goes on
+                elif ch == expected:
+                    items.add((i, k + 1))
+            target = self._state(frozenset(items))
             state.next[symbol] = target
         return target
 
@@ -380,12 +350,11 @@ class LeftSideAutomaton:
         A schema's length counts the full pumped run before its suffix,
         as a match found by scanning would.
         """
-        if rule < len(self._rules):
-            return len(self._rules[rule].lhs)
-        schema = self._schemas[rule - len(self._rules)]
-        run_end = len(word) - len(schema.suffix)
-        run_start = len(word[:run_end].rstrip(schema.pumped))
-        return len(word) - run_start + len(schema.prefix)
+        head, loop, _, tail = self._pieces[rule]
+        if not loop:
+            return len(head)
+        run_end = len(word) - len(tail)
+        return len(word) - len(word[:run_end].rstrip(loop)) + len(head)
 
 
 @dataclass(frozen=True)

@@ -71,16 +71,41 @@ def test_irreducibility_agrees_with_first_match(system, data):
 def test_named_rule_is_the_lowest_ending_there(system, data):
     """After each prefix of each word, the state names the lowest rule or
     schema whose left side ends there, or None if none does, and the
-    named left side's length counts a schema's full pumped run."""
-    automaton = system.automaton
+    named left side's length counts a schema's full pumped run; in the
+    system's automaton and, on the reversed word, in its mirror's."""
     for w in data.draw(st.lists(words_over(system.alphabet, 12), max_size=8)):
-        state = automaton.start
-        for end in range(1, len(w) + 1):
-            state = automaton.step(state, automaton.symbol_ids[w[end - 1]])
-            prefix, named = w[:end], state.rule
-            if named is not None:
-                named = named, automaton.match_length(named, prefix)
-            assert named == oracles.lowest_left_side_ending(system, prefix)
+        for read, word in ((system, w), (system.mirror, w[::-1])):
+            automaton = read.automaton
+            state = automaton.start
+            for end in range(1, len(word) + 1):
+                state = automaton.step(state, automaton.symbol_ids[word[end - 1]])
+                prefix, named = word[:end], state.rule
+                if named is not None:
+                    named = named, automaton.match_length(named, prefix)
+                assert named == oracles.lowest_left_side_ending(read, prefix)
+
+
+@pytest.mark.parametrize(
+    "factory, mirrored, live, total",
+    [(system_m, False, 4, 5), (system_n, False, 7, 11),
+     (system_m, True, 4, 5), (system_n, True, 16, 20)],
+)
+def test_reachable_state_counts(factory, mirrored, live, total):
+    """The states reachable from the start, and the live ones among them
+    (those that name no rule), as the automaton proofs for M and N count
+    them."""
+    system = factory().mirror if mirrored else factory()
+    automaton = system.automaton
+    seen, todo = {automaton.start}, [automaton.start]
+    while todo:
+        state = todo.pop()
+        for symbol in range(len(system.alphabet)):
+            nxt = automaton.step(state, symbol)
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    assert sum(s.rule is None for s in seen) == live
+    assert len(seen) == total
 
 
 @settings(deadline=None)
