@@ -234,6 +234,7 @@ def enumerate_normal_forms(system: RewritingSystem, max_len: int) -> list[Word]:
             "enumerate_normal_forms needs a certified system; call certify() first"
         )
     automaton = system.automaton
+    step, letters = automaton.step, tuple(enumerate(system.alphabet))
     words: list[Word] = [""]
     states = [automaton.start]
     begin = 0
@@ -241,8 +242,9 @@ def enumerate_normal_forms(system: RewritingSystem, max_len: int) -> list[Word]:
         end = len(words)
         for i in range(begin, end):
             w, state = words[i], states[i]
-            for symbol, g in enumerate(system.alphabet):
-                nxt = automaton.step(state, symbol)
+            known = state.next
+            for symbol, g in letters:
+                nxt = known[symbol] or step(state, symbol)
                 if nxt.rule is None:
                     words.append(w + g)
                     states.append(nxt)

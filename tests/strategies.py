@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the tests."""
+"""Hypothesis strategies and graph families shared by the tests."""
 
 from hypothesis import strategies as st
 
@@ -27,3 +27,14 @@ def systems(draw, max_rules=3, max_schemas=2):
         rhs = word(0, len(prefix) + k + len(suffix) - 1)
         schemas.append(RuleSchema(prefix, pumped, k, suffix, rhs))
     return RewritingSystem(tuple(alphabet), tuple(rules), tuple(schemas))
+
+
+def hub_path(length):
+    """``(n, arcs)`` of the directed path 0 -> 1 -> ... -> length plus
+    two hubs, each with an arc to every path vertex.  Refinement by
+    rounds splits the path one vertex per round from its end, and every
+    round reaches both hubs."""
+    hubs = (length + 1, length + 2)
+    arcs = [(i, i + 1) for i in range(length)]
+    arcs += [(hub, i) for hub in hubs for i in range(length + 1)]
+    return length + 3, tuple(arcs)

@@ -1,9 +1,11 @@
 """Explicit-map verification, the independent search, and left-ball
 separation."""
 
+import hashlib
 import json
 import random
 import sys
+import time
 
 import pytest
 
@@ -22,6 +24,8 @@ from cayleyforge import (
     verify_explicit_iso,
 )
 from cayleyforge import isomorphism, normal_forms, rewriting
+
+from strategies import hub_path
 
 # Discovered by the search below and frozen as a regression constant:
 # the left balls of the two builtins first become non-isomorphic here.
@@ -453,3 +457,54 @@ def test_self_comparison_never_separates(sys_m):
 def test_separation_requires_positive_radius():
     with pytest.raises(ValueError):
         separate_left_graphs(0)
+
+
+def _search_outcomes(sys_m, sys_n):
+    """``(status, expansions, mapping)`` of the search on the right balls
+    of M and N up to radius 12, their left balls of radius 1 to 3, and
+    a two-shift circulant and a hub path, each against a relabelling."""
+    pairs = [
+        tuple(strip_labels(build_ball(system, side, radius, "closed"))
+              for system in (sys_m, sys_n))
+        for side, radii in (("right", range(13)), ("left", range(1, 4)))
+        for radius in radii
+    ]
+    circulant = UnlabelledDigraph(
+        200, tuple((i, (i + k) % 200) for k in (1, 3) for i in range(200))
+    )
+    for graph, seed in ((circulant, 5), (UnlabelledDigraph(*hub_path(200)), 9)):
+        pairs.append((graph, _shuffled(random.Random(seed), graph)))
+    outcomes = []
+    for g1, g2 in pairs:
+        result = find_isomorphism(g1, g2)
+        mapping = result.certificate.mapping if result.certificate else None
+        outcomes.append((result.status, result.expansions, mapping))
+    return outcomes
+
+
+# sha256 of the outcomes above, recorded before refinement became
+# count-based: the search reads only the partition, so every mapping and
+# expansion count stays as it was.
+SEARCH_OUTCOMES_SHA256 = (
+    "346a9d9f7c5e2ae033105d5eb58bed36a8014fec42957f003794bf932d732508"
+)
+
+
+def test_search_outcomes_are_pinned(sys_m, sys_n):
+    outcomes = _search_outcomes(sys_m, sys_n)
+    assert [status for status, _, _ in outcomes] == ["isomorphic"] * len(outcomes)
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == SEARCH_OUTCOMES_SHA256
+
+
+def test_hub_path_search_is_not_quadratic():
+    """Refinement by passes would re-sort both hubs' L + 1 neighbours in
+    each of L passes, quadratic in L; counting refinement takes
+    O((n + m) log n)."""
+    graph = UnlabelledDigraph(*hub_path(16_000))
+    relabelled = _shuffled(random.Random(9), graph)
+    start = time.perf_counter()
+    result = find_isomorphism(graph, relabelled)
+    elapsed = time.perf_counter() - start
+    assert result.status == "isomorphic"
+    assert elapsed < 3.0

@@ -1,13 +1,18 @@
 """The refinement and the search against the naive references in
-``oracles.py`` on random digraphs with loops and parallel arcs."""
+``oracles.py`` on random digraphs with loops and parallel arcs; the
+refinement also on Cayley balls and a hub path."""
 
+import random
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cayleyforge import UnlabelledDigraph, find_isomorphism
+from cayleyforge import UnlabelledDigraph, build_ball, find_isomorphism, strip_labels
 from cayleyforge.isomorphism import _refine_colors
 
 import oracles
+from strategies import hub_path
 
 MAX_VERTICES = 12
 
@@ -99,3 +104,27 @@ def test_search_matches_linear_scan_backtracking(pair, budget):
     assert (result.status, mapping, result.expansions) == (
         oracles.backtrack_linear_scan(pair[0], pair[1], budget)
     )
+
+
+BALLS = [("right", radius) for radius in range(8)] + [
+    ("left", radius) for radius in range(6)
+]
+
+
+@pytest.mark.parametrize("side, radius", BALLS)
+def test_refinement_matches_synchronous_rounds_on_balls(sys_m, sys_n, side, radius):
+    """The drawn graphs above have at most 12 vertices; balls need many
+    rounds and leave classes of every size."""
+    g1, g2 = (strip_labels(build_ball(s, side, radius, "closed")) for s in (sys_m, sys_n))
+    colors1, colors2, _ = _refine_colors(g1, g2)
+    pair = [(g1.n, g1.arcs), (g2.n, g2.arcs)]
+    assert _partition(colors1, colors2) == oracles.refine_by_rounds(pair)
+
+
+def test_refinement_matches_synchronous_rounds_on_a_hub_path():
+    n, arcs = hub_path(50)
+    perm = list(range(n))
+    random.Random(9).shuffle(perm)
+    pair = [(n, arcs), (n, tuple(sorted((perm[s], perm[d]) for s, d in arcs)))]
+    colors1, colors2, _ = _refine_colors(*(UnlabelledDigraph(*g) for g in pair))
+    assert _partition(colors1, colors2) == oracles.refine_by_rounds(pair)
