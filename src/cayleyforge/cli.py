@@ -165,7 +165,11 @@ def cmd_verify_iso(args: argparse.Namespace) -> int:
     ball_m = build_ball(system_m(), "right", args.radius, "closed")
     ball_n = build_ball(system_n(), "right", args.radius, "closed")
     report = verify_explicit_iso(ball_m, ball_n)
-    search = find_isomorphism(strip_labels(ball_m), strip_labels(ball_n))
+    # The search and the output read only the digraphs, so the labelled
+    # balls are freed before the search.
+    g_m, g_n = strip_labels(ball_m), strip_labels(ball_n)
+    del ball_m, ball_n
+    search = find_isomorphism(g_m, g_n)
     ok = report.verified and search.status == "isomorphic"
 
     if args.format == "json":
@@ -173,8 +177,8 @@ def cmd_verify_iso(args: argparse.Namespace) -> int:
             json.dumps(
                 {
                     "radius": args.radius,
-                    "vertices": len(ball_m.vertices),
-                    "arcs": len(ball_m.edges),
+                    "vertices": g_m.n,
+                    "arcs": len(g_m.arcs),
                     "explicit": json.loads(report_json(report)),
                     "search": json.loads(report_json(search)),
                 },
@@ -184,8 +188,8 @@ def cmd_verify_iso(args: argparse.Namespace) -> int:
         return EXIT_OK if ok else EXIT_PROPERTY_FAILED
 
     print(
-        f"radius {args.radius}: {len(ball_m.vertices)} vertices (M ball) and "
-        f"{len(ball_n.vertices)} vertices (N ball)"
+        f"radius {args.radius}: {g_m.n} vertices (M ball) and "
+        f"{g_n.n} vertices (N ball)"
     )
     if report.verified:
         print(
@@ -204,7 +208,10 @@ def cmd_verify_iso(args: argparse.Namespace) -> int:
     elif search.status == "non_isomorphic":
         print("independent search: NOT isomorphic")
     else:
-        print(f"independent search: budget exhausted after {search.expansions}")
+        print(
+            f"independent search: budget exhausted after "
+            f"{search.expansions} expansions"
+        )
     print(f"verify-iso: {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_PROPERTY_FAILED
 

@@ -14,6 +14,17 @@ validates any certificate it returns with the same
 lists ``out``/``inc`` that each
 :class:`~cayleyforge.cayley.UnlabelledDigraph` builds once.
 
+The search works only where refinement left a choice.  A class with one
+vertex in each graph is a forced pair, mapped up front at one expansion
+each (a budget smaller than their number reports ``budget + 1``, as any
+exhausted search does).  Forced pairs need no arc check: the partition
+is equitable, so x and x' of one class have as many arcs to the class
+{y, y'} and from it, and those arcs all meet y on one side and y' on the
+other.  A vertex with a mapped neighbour u takes as candidates only the
+vertices of its class joined to u's image as it is joined to u; every
+other member lacks that arc, so the arc check would reject it, and the
+search finds the same isomorphism with fewer expansions.
+
 ``separate_left_graphs`` uses both to locate the smallest ball radius at
 which the left Cayley graphs of two systems can be told apart.
 """
@@ -170,7 +181,7 @@ def report_json(report: IsoReport | SearchResult) -> str:
 
 def _refine_colors(
     g1: UnlabelledDigraph, g2: UnlabelledDigraph
-) -> tuple[list[int], list[int], bool]:
+) -> tuple[list[int], list[int], Counter | None]:
     """Counting color refinement of the disjoint union of two graphs,
     read in place from their neighbour lists; vertex ``v`` of ``g2`` is
     ``g1.n + v`` in the union.
@@ -205,8 +216,9 @@ def _refine_colors(
     vertices where taking the last queued class first counts 1.70 million.
 
     Colors are comparable across the two graphs.  Returns the stable
-    colorings and whether their histograms agree (a necessary condition
-    for isomorphism).
+    colorings and, if their histograms agree (a necessary condition for
+    isomorphism), the number of vertices of each color in either graph;
+    otherwise None.
     """
     n1 = g1.n
     out1, inc1, out2, inc2 = g1.out, g1.inc, g2.out, g2.inc
@@ -217,7 +229,7 @@ def _refine_colors(
         for v, (heads, tails) in enumerate(zip(g.out, g.inc))
     ]
     if not colors:
-        return [], [], True
+        return [], [], Counter()
     # The vertices, class by class: class c is order[start[c]:end[c]],
     # and vertex x sits at order[where[x]].
     order = sorted(range(len(colors)), key=colors.__getitem__)
@@ -290,7 +302,8 @@ def _refine_colors(
                 queued[k] = True
                 heapq.heappush(queue, (end[k] - start[k], k))
     colors1, colors2 = colors[:n1], colors[n1:]
-    return colors1, colors2, Counter(colors1) == Counter(colors2)
+    sizes = Counter(colors1)
+    return colors1, colors2, sizes if sizes == Counter(colors2) else None
 
 
 def find_isomorphism(
@@ -298,85 +311,140 @@ def find_isomorphism(
 ) -> SearchResult:
     """Search for any isomorphism between two unlabelled digraphs.
 
-    Backtracking over refinement classes: a vertex may only map to a
-    vertex of the same stable color whose arcs to and from the mapped
-    vertices match its own, with multiplicity, as read from the
-    digraphs' ``out``/``inc`` lists.  Every tried candidate pair costs
-    one expansion, and the search stops indeterminately once ``budget``
-    expansions are spent (the result then reports ``budget + 1``).  The
-    backtracking runs on an explicit stack with one frame per vertex on
-    the search path, so its depth is bounded by memory, not by the
-    interpreter's recursion limit.  A returned certificate has been
-    re-validated arc by arc.
+    Every isomorphism maps each vertex to one of the same stable color
+    (the search refines both graphs together).  A class with exactly one
+    vertex in each graph is a forced pair, and all forced pairs are
+    mapped first, with no arc check among them: the partition is
+    equitable, so the arcs from x to the class {y, y'} all end at y,
+    those from x' all end at y', and there are as many of each.  By the
+    same argument a vertex and a candidate of its class have as many
+    arcs to and from the two vertices of each forced pair, so the search
+    below checks only the arcs between vertices it mapped itself.
+
+    The other vertices are mapped by backtracking: a vertex may only map
+    to a vertex of the same color whose arcs to and from the vertices
+    mapped so far match its own, with multiplicity, as read from the
+    digraphs' ``out``/``inc`` lists.  A vertex with a mapped neighbour
+    takes its candidates from that neighbour's image: the vertices of
+    its color with an arc from the image if its own arc comes from the
+    neighbour, to it otherwise, without repeats.  The neighbour used
+    is the first mapped one among its in-neighbours, then among its
+    out-neighbours, each in increasing index.  The class members this
+    leaves out lack the arc, so the arc check would reject each of them,
+    and the search finds the same isomorphism as when every member of
+    the class is a candidate.  A vertex with no mapped neighbour takes
+    the whole class.  Candidates are tried in increasing index.
+
+    Each forced pair and each tried candidate costs one expansion, and
+    the search stops indeterminately once ``budget`` expansions are
+    spent; the result then reports ``budget + 1``, also when the forced
+    pairs alone exceed the budget.  The backtracking runs on an explicit
+    stack with one frame per vertex on the search path, so its depth is
+    bounded by memory, not by the interpreter's recursion limit.  A
+    returned certificate has been re-validated arc by arc.
 
     Deterministic.  The next vertex of ``g1`` to map is an unmapped one
     with a mapped neighbour if there is any, then one from a smaller
-    color class, then the one of lower index; its candidates in ``g2``
-    are tried in increasing index.  That choice depends only on which
-    vertices are mapped, and those are the ones chosen before it, so the
-    whole order is fixed before the search by one pass over a heap.
+    color class, then the one of lower index.  That choice depends only
+    on which vertices are mapped, and those are the forced ones and the
+    ones chosen before it, so the whole order is fixed before the search
+    by one pass over a heap.
     """
     if g1.n != g2.n or len(g1.arcs) != len(g2.arcs):
         return SearchResult("non_isomorphic", None, 0)
     if g1.n == 0:
         return SearchResult("isomorphic", IsoCertificate(()), 0)
     out1, in1, out2, in2 = g1.out, g1.inc, g2.out, g2.inc
-    colors1, colors2, compatible = _refine_colors(g1, g2)
-    if not compatible:
+    colors1, colors2, class_size = _refine_colors(g1, g2)
+    if class_size is None:
         return SearchResult("non_isomorphic", None, 0)
 
     n = g1.n
-    class_size = Counter(colors1)
-    candidates_by_color: dict[int, list[int]] = {}
-    for v in range(n):
-        candidates_by_color.setdefault(colors2[v], []).append(v)
+    # The last vertex of each color in g2: a forced color's only one.
+    last2 = dict(zip(colors2, range(n)))
+    mapping = [last2[c] if class_size[c] == 1 else -1 for c in colors1]
+    expansions = n - mapping.count(-1)
+    if expansions > budget:
+        return SearchResult("budget_exhausted", None, budget + 1)
 
-    # Keys are (no mapped neighbour, class size, index).  A vertex gets a
-    # smaller key whenever a neighbour is placed; only the first of its
-    # keys to come off the heap counts.
-    order: list[int] = []
-    placed = [False] * n
-    heap = [(1, class_size[colors1[v]], v) for v in range(n)]
+    # Keys are (no mapped neighbour, class size, index); forced vertices
+    # count as mapped.  A vertex gets a smaller key whenever a neighbour
+    # is placed; only the first of its keys to come off the heap counts.
+    # Each placed vertex records the neighbour its candidates come from,
+    # with the rows of g2 to read at that neighbour's image, and how many
+    # arcs it has from and to the vertices the search places before it.
+    placed = [image >= 0 for image in mapping]
+    heap = [
+        (not any(map(placed.__getitem__, out1[v] + in1[v])), class_size[colors1[v]], v)
+        for v, image in enumerate(mapping)
+        if image < 0
+    ]
     heapq.heapify(heap)
+    order: list[int] = []
+    anchors: list[tuple[int, list[list[int]]] | None] = []
+    earlier: list[list[int]] = []
     while heap:
         v = heapq.heappop(heap)[2]
         if placed[v]:
             continue
+        anchor = None
+        arcs_back = []
+        for nbrs, rows2 in ((in1[v], out2), (out1[v], in2)):
+            count = 0
+            for u in nbrs:
+                if not placed[u]:
+                    heapq.heappush(heap, (0, class_size[colors1[u]], u))
+                    continue
+                if anchor is None:
+                    anchor = (u, rows2)
+                count += mapping[u] < 0
+            arcs_back.append(count)
         placed[v] = True
         order.append(v)
-        for u in out1[v] + in1[v]:
-            if not placed[u]:
-                heapq.heappush(heap, (0, class_size[colors1[u]], u))
+        anchors.append(anchor)
+        earlier.append(arcs_back)
 
-    mapping = [-1] * n
-    inverse = [-1] * n
-    expansions = 0
-
-    def images(nbrs1: list[int]) -> list[int]:
-        return sorted(mapping[u] for u in nbrs1 if mapping[u] != -1)
-
-    def preimaged(nbrs2: list[int]) -> list[int]:
-        return sorted(u for u in nbrs2 if inverse[u] != -1)
-
-    # Arcs to and from mapped vertices must correspond with multiplicity.
-    # Loops need no check of their own: v1 and v2 share a stable color,
-    # and the initial color already counts loops.
-    def consistent(v1: int, v2: int) -> bool:
-        return (
-            images(out1[v1]) == preimaged(out2[v2])
-            and images(in1[v1]) == preimaged(in2[v2])
-        )
+    inverse = [-1] * n  # of the vertices the search maps, not the forced
+    members2: dict[int, list[int]] = {}
 
     def candidates(depth: int) -> Iterator[int]:
-        return iter(candidates_by_color[colors1[order[depth]]])
+        color = colors1[order[depth]]
+        anchor = anchors[depth]
+        if anchor is not None:
+            u, rows2 = anchor
+            return iter(sorted({w for w in rows2[mapping[u]] if colors2[w] == color}))
+        if not members2:
+            for w, c in enumerate(colors2):
+                members2.setdefault(c, []).append(w)
+        return iter(members2[color])
+
+    # The arcs of v2 to and from vertices the search mapped must match
+    # those of order[depth] with multiplicity: each such neighbour's
+    # preimage is as often a neighbour of v1, and there are as many.
+    # Loops need no check of their own: v1 and v2 share a stable color,
+    # and the initial color already counts loops.
+    def consistent(depth: int, v2: int) -> bool:
+        v1 = order[depth]
+        ins, outs = earlier[depth]
+        for nbrs1, nbrs2, left in ((in1[v1], in2[v2], ins), (out1[v1], out2[v2], outs)):
+            for u in nbrs2:
+                w = inverse[u]
+                if w >= 0:
+                    if nbrs1.count(w) != nbrs2.count(u):
+                        return False
+                    left -= 1
+            if left:
+                return False
+        return True
 
     # One iterator of untried candidates in g2 per depth k, for vertex
     # order[k] of g1.  The top one is re-entered either fresh or after
     # the next depth ran out of candidates; in the latter case its
     # vertex's assignment is undone.
-    stack = [candidates(0)]
+    stack = [candidates(0)] if order else []
     while stack:
-        v1 = order[len(stack) - 1]
+        depth = len(stack) - 1
+        v1 = order[depth]
         if mapping[v1] != -1:
             inverse[mapping[v1]] = -1
             mapping[v1] = -1
@@ -386,18 +454,18 @@ def find_isomorphism(
             expansions += 1
             if expansions > budget:
                 return SearchResult("budget_exhausted", None, expansions)
-            if consistent(v1, v2):
+            if consistent(depth, v2):
                 mapping[v1] = v2
                 inverse[v2] = v1
                 break
         else:
             stack.pop()
             continue
-        if len(stack) == n:
+        if len(stack) == len(order):
             break
         stack.append(candidates(len(stack)))
 
-    if not stack:
+    if order and not stack:
         return SearchResult("non_isomorphic", None, expansions)
     certificate = IsoCertificate(tuple(mapping))
     defect = validate_certificate(g1, g2, certificate.mapping)

@@ -286,12 +286,19 @@ def backtrack_linear_scan(g1, g2, budget):
     between digraphs given as ``(n, arcs)`` pairs.
 
     Vertices of ``g1`` may only map to vertices of the same class of
-    :func:`refine_by_rounds`.  The next vertex is found by scanning all
-    unmapped ones for the least key (no mapped neighbour, size of its
-    class in ``g1``, index); its candidates are tried in increasing
-    index, each costing one expansion, and a candidate is kept when the
-    arc multiplicities to and from every mapped vertex, and the loops,
-    agree.  More than ``budget`` expansions give ``budget_exhausted``.
+    :func:`refine_by_rounds`.  First each class with one vertex in each
+    graph maps that vertex, in increasing index, one expansion each.
+    Then the next vertex is found by scanning all unmapped ones for the
+    least key (no mapped neighbour, size of its class in ``g1``, index).
+    Its candidates are the vertices of its class, or, if it has a mapped
+    neighbour, those of them joined to that neighbour's image in the
+    same direction as it is joined to the neighbour; the neighbour is
+    the first mapped one among its in-neighbours, then among its
+    out-neighbours, each in increasing index.  Candidates are tried in
+    increasing index, each costing one expansion, and one is kept when
+    the arc multiplicities to and from every mapped vertex, and the
+    loops, agree.  More than ``budget`` expansions give
+    ``budget_exhausted``.
     """
     (n, arcs1), (n2, arcs2) = g1, g2
     if n != n2 or len(arcs1) != len(arcs2):
@@ -318,6 +325,12 @@ def backtrack_linear_scan(g1, g2, budget):
     class Exhausted(Exception):
         pass
 
+    def expand():
+        nonlocal expansions
+        expansions += 1
+        if expansions > budget:
+            raise Exhausted
+
     def pick():
         keys = [
             (not any(u in mapping for u in neighbours[v]), size[v], v)
@@ -325,6 +338,17 @@ def backtrack_linear_scan(g1, g2, budget):
             if v not in mapping
         ]
         return min(keys)[2]
+
+    def tried(v1):
+        for u in sorted(s for s, d in arcs1 if d == v1):
+            if u in mapping:
+                ends = {d for s, d in arcs2 if s == mapping[u]}
+                return [v2 for v2 in candidates[v1] if v2 in ends]
+        for u in sorted(d for s, d in arcs1 if s == v1):
+            if u in mapping:
+                ends = {s for s, d in arcs2 if d == mapping[u]}
+                return [v2 for v2 in candidates[v1] if v2 in ends]
+        return candidates[v1]
 
     def consistent(v1, v2):
         if count1[(v1, v1)] != count2[(v2, v2)]:
@@ -336,16 +360,13 @@ def backtrack_linear_scan(g1, g2, budget):
         )
 
     def extend():
-        nonlocal expansions
         if len(mapping) == n:
             return True
         v1 = pick()
-        for v2 in candidates[v1]:
+        for v2 in tried(v1):
             if v2 in inverse:
                 continue
-            expansions += 1
-            if expansions > budget:
-                raise Exhausted
+            expand()
             if consistent(v1, v2):
                 mapping[v1], inverse[v2] = v2, v1
                 if extend():
@@ -354,6 +375,11 @@ def backtrack_linear_scan(g1, g2, budget):
         return False
 
     try:
+        for v1 in range(n):
+            if len(candidates[v1]) == 1:
+                expand()
+                mapping[v1] = candidates[v1][0]
+                inverse[candidates[v1][0]] = v1
         found = extend()
     except Exhausted:
         return "budget_exhausted", None, expansions

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cayleyforge import cli
+from cayleyforge import cli, isomorphism
 from cayleyforge.cli import main
 
 NON_CONFLUENT = "alphabet a b\nrule a b -> a\nrule b a -> b\n"
@@ -302,6 +302,17 @@ def test_verify_iso_json(capsys):
     assert payload["explicit"]["status"] == "verified"
     assert payload["search"]["status"] == "isomorphic"
     assert sorted(payload["explicit"]["mapping"]) == list(range(15))
+
+
+def test_verify_iso_exhausted_budget_names_its_unit(capsys, monkeypatch):
+    def small_budget(g1, g2):
+        return isomorphism.find_isomorphism(g1, g2, budget=3)
+
+    monkeypatch.setattr(cli, "find_isomorphism", small_budget)
+    code, out, _ = run(capsys, "verify-iso", "--radius", "3")
+    assert code == 1
+    assert "independent search: budget exhausted after 4 expansions\n" in out
+    assert out.endswith("verify-iso: FAIL\n")
 
 
 def test_internal_error_exits_three_without_traceback(capsys, monkeypatch):

@@ -92,11 +92,32 @@ SIX_CYCLE_AND_TRIANGLES = (
     (6, tuple((i, 3 * (i // 3) + (i + 1) % 3) for i in range(6))),
 )
 
+# One class: every vertex after the first takes its candidates from the
+# image of a mapped neighbour.
+RELABELLING = (3, 6, 0, 5, 2, 7, 4, 1)
+CIRCULANT_AND_RELABELLING = tuple(
+    (8, tuple(sorted((p[i], p[(i + k) % 8]) for k in (1, 3) for i in range(8))))
+    for p in (range(8), RELABELLING)
+)
+
+# A 2-lift plus three arcs, against a relabelling: two forced pairs and
+# three classes of size 2, where some candidates fail the arc check.
+# With a budget of 1 the forced pairs alone exhaust it.
+LIFT_WITH_FORCED_PAIRS = (
+    (8, ((0, 4), (0, 7), (1, 5), (1, 6), (2, 4), (2, 6), (3, 5), (3, 7),
+         (4, 5), (5, 4), (5, 5))),
+    (8, ((0, 4), (0, 5), (1, 4), (1, 6), (2, 5), (2, 7), (3, 6), (3, 7),
+         (5, 6), (6, 5), (6, 6))),
+)
+
 
 @settings(max_examples=300, deadline=None)
 @given(digraph_pairs(), st.one_of(st.integers(0, 40), st.just(100_000)))
 @example(SMALLER_CLASS_FIRST, 100_000)
 @example(SIX_CYCLE_AND_TRIANGLES, 100_000)
+@example(CIRCULANT_AND_RELABELLING, 100_000)
+@example(LIFT_WITH_FORCED_PAIRS, 100_000)
+@example(LIFT_WITH_FORCED_PAIRS, 1)
 def test_search_matches_linear_scan_backtracking(pair, budget):
     g1, g2 = (UnlabelledDigraph(*g) for g in pair)
     result = find_isomorphism(g1, g2, budget)
