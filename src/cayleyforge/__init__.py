@@ -33,20 +33,7 @@ from .isomorphism import (
     validate_certificate,
     verify_explicit_iso,
 )
-from .normal_forms import (
-    ClassificationError,
-    MNormalForm,
-    NNormalForm,
-    ab_to_cd,
-    cd_to_ab,
-    classify_m,
-    classify_n,
-    enumerate_normal_forms,
-    is_um_word,
-    is_un_word,
-    m_to_n,
-    n_to_m,
-)
+from .normal_forms import ab_to_cd, enumerate_normal_forms
 from .presentations import (
     BUILTIN_SYSTEMS,
     PresentationError,

@@ -144,12 +144,15 @@ def parse_presentation(text: str) -> RewritingSystem:
     """Parse presentation text into an (uncertified) rewriting system.
 
     The alphabet must be declared before any rule.  A leading byte-order
-    mark is ignored.  Every error that belongs to one line names it.
+    mark is ignored.  Lines end only at CR LF, CR or LF; other Unicode
+    line breaks are ordinary characters.  Every error that belongs to one
+    line names it.
     """
     declared: RewritingSystem | None = None  # the alphabet, with no rules
     rules: list[RewriteRule] = []
     schemas: list[RuleSchema] = []
-    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+    lines = re.split(r"\r\n|\r|\n", text.removeprefix("\ufeff"))
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -3,12 +3,51 @@
 These deliberately avoid the library's matching/enumeration code paths:
 they work on concrete (lhs, rhs) string pairs with str.startswith/find
 only, so they can confirm the library's answers rather than echo them.
+The paper's normal-form lemma for the builtins is stated here too, as
+two regular expressions.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
+
+# The paper's normal-form lemma.  The irreducible words of M are b^s
+# (NFM1), b^s u (NFM2) and b^s u b^t (NFM3), with u nonempty runs of a
+# joined by single b's and t >= 1; those of N are d^p (NFN1), d^p v
+# (NFN2) and d^p v (dddc)^q d^r (NFN3), with v nonempty runs of c joined
+# by single d's, 0 <= r <= 3 and q + r >= 1.
+M_NORMAL_FORM = re.compile(r"(?P<s>b*)(?:(?P<u>a+(?:ba+)*)(?P<t>b*))?")
+N_NORMAL_FORM = re.compile(r"(?P<p>d*)(?:(?P<v>c+(?:dc+)*)(?P<tail>(?:dddc)*d{0,3}))?")
+
+
+def _kind(name, match):
+    if match is None:
+        return None
+    _, block, tail = match.groups()
+    return f"{name}{1 if block is None else 2 if not tail else 3}"
+
+
+def m_kind(word):
+    """``NFM1``, ``NFM2`` or ``NFM3`` for a word matching
+    :data:`M_NORMAL_FORM`, or None."""
+    return _kind("NFM", M_NORMAL_FORM.fullmatch(word))
+
+
+def n_kind(word):
+    """``NFN1``, ``NFN2`` or ``NFN3`` for a word matching
+    :data:`N_NORMAL_FORM`, or None."""
+    return _kind("NFN", N_NORMAL_FORM.fullmatch(word))
+
+
+def phi_inverse(word):
+    """The M normal form that φ sends to the N normal form ``word``:
+    the head ``d^p v`` relabelled c -> a, d -> b, then one b for each
+    symbol of the tail."""
+    match = N_NORMAL_FORM.fullmatch(word)
+    head = match["p"] + (match["v"] or "")
+    return head.translate(str.maketrans("cd", "ab")) + "b" * len(match["tail"] or "")
 
 
 def concrete_rules(system, schema_bound):

@@ -13,7 +13,6 @@ from cayleyforge import (
     CayleyBall,
     UnlabelledDigraph,
     build_ball,
-    classify_m,
     export_json,
     find_isomorphism,
     graph_invariants,
@@ -25,6 +24,7 @@ from cayleyforge import (
 )
 from cayleyforge import isomorphism, normal_forms, rewriting
 
+import oracles
 from strategies import hub_path
 
 # Discovered by the search below and frozen as a regression constant:
@@ -54,11 +54,9 @@ def test_verify_radius_five(sys_m, sys_n):
 
 
 def test_verify_maps_concrete_edge(sys_m, sys_n):
-    from cayleyforge import m_to_n
-
     ball_m, ball_n = _right_balls(sys_m, sys_n, 4)
-    assert m_to_n("abb") == "cdd"
-    assert m_to_n("aba") == "cdc"
+    assert normal_forms.phi("abb") == "cdd"
+    assert normal_forms.phi("aba") == "cdc"
     index_m = ball_m.vertex_index()
     index_n = ball_n.vertex_index()
     assert (index_m["abb"], index_m["aba"]) in {
@@ -186,15 +184,10 @@ def test_verify_takes_ball_vertices_as_given(sys_m, sys_n, monkeypatch):
     ball_m, ball_n = _right_balls(sys_m, sys_n, 9)
 
     def forbidden(*args):
-        raise AssertionError("the ball path must not classify or reduce")
+        raise AssertionError("the ball path must not reduce or test a word")
 
-    for module, name in (
-        (normal_forms, "classify_m"),
-        (normal_forms, "classify_n"),
-        (normal_forms, "first_match"),
-        (rewriting, "is_irreducible"),
-    ):
-        monkeypatch.setattr(module, name, forbidden)
+    for name in ("_first_match", "_reduce", "is_irreducible"):
+        monkeypatch.setattr(rewriting, name, forbidden)
     report = verify_explicit_iso(ball_m, ball_n)
     assert report.verified
     assert report.vertices_checked == len(ball_m.vertices)
@@ -392,9 +385,9 @@ def test_nfm3_out_edges_split_into_both_classes(sys_m):
         targets.setdefault(src, {})[g] = outside
     checked = 0
     for i, word in enumerate(ball.vertices):
-        if classify_m(word).kind != "NFM3":
+        if oracles.m_kind(word) != "NFM3":
             continue
-        kinds = {classify_m(target).kind for target in targets[i].values()}
+        kinds = {oracles.m_kind(target) for target in targets[i].values()}
         assert kinds == {"NFM2", "NFM3"}
         checked += 1
     assert checked > 0

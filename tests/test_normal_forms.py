@@ -1,165 +1,124 @@
-"""Classifiers, the normal-form bijection, and enumeration."""
+"""The normal-form lemma, φ, and enumeration."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cayleyforge import (
-    ClassificationError,
-    MNormalForm,
-    NNormalForm,
     ab_to_cd,
-    cd_to_ab,
-    classify_m,
-    classify_n,
     enumerate_normal_forms,
     is_irreducible,
-    is_um_word,
-    is_un_word,
-    m_to_n,
-    n_to_m,
     normal_form,
+    system_m,
+    system_n,
 )
+from cayleyforge.normal_forms import phi
 from cayleyforge.rewriting import IncompleteSystemError
 
 import oracles
+from oracles import M_NORMAL_FORM, N_NORMAL_FORM
 
 TAG_PARTNERS = {"NFM1": "NFN1", "NFM2": "NFN2", "NFM3": "NFN3"}
 
 
 def test_block_word_recognizers():
-    assert is_um_word("a")
-    assert is_um_word("aabaa")
-    assert not is_um_word("")
-    assert not is_um_word("ba")
-    assert not is_um_word("abba")
-    assert is_un_word("cdc")
-    assert not is_un_word("cddc")
+    def is_block(pattern, group, word):
+        match = pattern.fullmatch(word)
+        return match is not None and match[group] == word
+
+    assert is_block(M_NORMAL_FORM, "u", "a")
+    assert is_block(M_NORMAL_FORM, "u", "aabaa")
+    assert not is_block(M_NORMAL_FORM, "u", "")
+    assert not is_block(M_NORMAL_FORM, "u", "ba")
+    assert not is_block(M_NORMAL_FORM, "u", "abba")
+    assert is_block(N_NORMAL_FORM, "v", "cdc")
+    assert not is_block(N_NORMAL_FORM, "v", "cddc")
 
 
 def test_classify_m_examples():
-    assert classify_m("bbb") == MNormalForm(s=3)
-    assert classify_m("babab") == MNormalForm(s=1, u="aba", t=1)
-    assert classify_m("") == MNormalForm(s=0)
-    with pytest.raises(ClassificationError, match="position 0"):
-        classify_m("abba")
+    assert M_NORMAL_FORM.fullmatch("bbb").groupdict() == {"s": "bbb", "u": None, "t": None}
+    assert M_NORMAL_FORM.fullmatch("babab").groupdict() == {"s": "b", "u": "aba", "t": "b"}
+    assert M_NORMAL_FORM.fullmatch("").groupdict() == {"s": "", "u": None, "t": None}
+    assert M_NORMAL_FORM.fullmatch("abba") is None
 
 
 def test_classify_n_examples():
-    assert classify_n("dd") == NNormalForm(p=2)
-    assert classify_n("cdddc") == NNormalForm(p=0, v="c", q=1, r=0)
-    assert classify_n("cdc") == NNormalForm(p=0, v="cdc")
-    with pytest.raises(ClassificationError):
-        classify_n("cddc")
+    assert N_NORMAL_FORM.fullmatch("dd").groupdict() == {"p": "dd", "v": None, "tail": None}
+    assert N_NORMAL_FORM.fullmatch("cdddc").groupdict() == {"p": "", "v": "c", "tail": "dddc"}
+    assert N_NORMAL_FORM.fullmatch("cdc").groupdict() == {"p": "", "v": "cdc", "tail": ""}
+    assert N_NORMAL_FORM.fullmatch("cddc") is None
 
 
 @pytest.mark.parametrize(
     "form, kind, word",
     [
-        (MNormalForm(2), "NFM1", "bb"),
-        (MNormalForm(0, "aba"), "NFM2", "aba"),
-        (MNormalForm(1, "aaba", 3), "NFM3", "baababbb"),
-        (NNormalForm(3), "NFN1", "ddd"),
-        (NNormalForm(1, "cdcc"), "NFN2", "dcdcc"),
-        (NNormalForm(0, "c", 0, 3), "NFN3", "cddd"),
-        (NNormalForm(2, "c", 2, 1), "NFN3", "ddcdddcdddcd"),
+        ({"s": "bb", "u": None, "t": None}, "NFM1", "bb"),
+        ({"s": "", "u": "aba", "t": ""}, "NFM2", "aba"),
+        ({"s": "b", "u": "aaba", "t": "bbb"}, "NFM3", "baababbb"),
+        ({"p": "ddd", "v": None, "tail": None}, "NFN1", "ddd"),
+        ({"p": "d", "v": "cdcc", "tail": ""}, "NFN2", "dcdcc"),
+        ({"p": "", "v": "c", "tail": "ddd"}, "NFN3", "cddd"),
+        ({"p": "dd", "v": "c", "tail": "dddcdddcd"}, "NFN3", "ddcdddcdddcd"),
     ],
 )
 def test_normal_form_kind_and_word(form, kind, word):
-    assert (form.kind, form.word()) == (kind, word)
-
-
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: MNormalForm(-1),
-        lambda: MNormalForm(0, None, 2),
-        lambda: MNormalForm(0, "a", 0),
-        lambda: MNormalForm(0, "abba"),
-        lambda: NNormalForm(-1),
-        lambda: NNormalForm(0, "c", 1),
-        lambda: NNormalForm(0, "c", None, 1),
-        lambda: NNormalForm(0, "c", 0, 4),
-        lambda: NNormalForm(0, "c", 0, 0),
-        lambda: NNormalForm(0, None, 1, 0),
-        lambda: NNormalForm(0, "cddc"),
-    ],
-)
-def test_invalid_normal_forms_are_refused(make):
-    with pytest.raises(ValueError):
-        make()
-
-
-def test_classifier_error_names_the_match(sys_n):
-    with pytest.raises(ClassificationError, match="cddc -> cdc at position 1"):
-        classify_n("dcddc")
+    if kind.startswith("NFM"):
+        pattern, kind_of = M_NORMAL_FORM, oracles.m_kind
+    else:
+        pattern, kind_of = N_NORMAL_FORM, oracles.n_kind
+    assert (pattern.fullmatch(word).groupdict(), kind_of(word)) == (form, kind)
 
 
 def test_classification_accepts_exactly_irreducibles(sys_m, sys_n):
-    for word in oracles.words_up_to("ab", 10):
-        if is_irreducible(sys_m, word):
-            assert classify_m(word).word() == word
-        else:
-            with pytest.raises(ClassificationError):
-                classify_m(word)
-    for word in oracles.words_up_to("cd", 10):
-        if is_irreducible(sys_n, word):
-            assert classify_n(word).word() == word
-        else:
-            with pytest.raises(ClassificationError):
-                classify_n(word)
+    # the patterns against the rules as written, by the brute-force
+    # filter, with no library code on either side
+    for system, pattern, bound in ((sys_m, M_NORMAL_FORM, 12), (sys_n, N_NORMAL_FORM, 1)):
+        expected = oracles.irreducible_words_by_filter(system, bound, 10)
+        alphabet = "".join(system.alphabet)
+        matched = [w for w in oracles.words_up_to(alphabet, 10) if pattern.fullmatch(w)]
+        assert matched == expected
 
 
 def test_relabeling():
     assert ab_to_cd("aba") == "cdc"
     assert ab_to_cd("") == ""
     assert ab_to_cd("aab") == "ccd"
-    assert cd_to_ab("ccd") == "aab"
 
 
 def test_m_to_n_examples():
-    assert m_to_n("bb") == "dd"
-    assert m_to_n("abbbbb") == "cdddcd"  # t=5 splits as 4*1+1
-    assert m_to_n("abbbb") == "cdddc"  # t=4 splits as 4*1+0
-    with pytest.raises(ClassificationError):
-        m_to_n("abba")
+    assert phi("bb") == "dd"
+    assert phi("abbbbb") == "cdddcd"  # t=5 splits as 4*1+1
+    assert phi("abbbb") == "cdddc"  # t=4 splits as 4*1+0
 
 
 def test_n_to_m_examples():
-    assert n_to_m("dc") == "ba"
-    assert n_to_m("cdddcd") == "abbbbb"
-    assert n_to_m("cdc") == "aba"
-    with pytest.raises(ClassificationError):
-        n_to_m("cdddd")
+    assert oracles.phi_inverse("dc") == "ba"
+    assert oracles.phi_inverse("cdddcd") == "abbbbb"
+    assert oracles.phi_inverse("cdc") == "aba"
 
 
-def test_phi_matches_the_classifier_formula_up_to_length_12(sys_m, sys_n):
-    # the reference reads the paper's decompositions b^s u b^t and
-    # d^p v (dddc)^q d^r off the classifiers' fields
+def test_phi_matches_the_classifier_formula_up_to_length_12(sys_m):
+    # the reference reads the paper's decomposition b^s u b^t off the
+    # pattern's groups, and writes d^s u-bar (dddc)^q d^r with t = 4q + r
     for word in enumerate_normal_forms(sys_m, 12):
-        nf = classify_m(word)
-        q, r = divmod(nf.t or 0, 4)
-        expected = "d" * nf.s + ab_to_cd(nf.u or "") + "dddc" * q + "d" * r
-        assert m_to_n(word) == expected, word
-    for word in enumerate_normal_forms(sys_n, 12):
-        nf = classify_n(word)
-        t = 4 * (nf.q or 0) + (nf.r or 0)
-        expected = "b" * nf.p + cd_to_ab(nf.v or "") + "b" * t
-        assert n_to_m(word) == expected, word
+        match = M_NORMAL_FORM.fullmatch(word)
+        q, r = divmod(len(match["t"] or ""), 4)
+        expected = "d" * len(match["s"]) + ab_to_cd(match["u"] or "") + "dddc" * q + "d" * r
+        assert phi(word) == expected, word
 
 
 def test_bijection_up_to_length_10(sys_m, sys_n):
     m_words = enumerate_normal_forms(sys_m, 10)
     n_words = enumerate_normal_forms(sys_n, 10)
     assert len(m_words) == len(n_words)  # cardinality match at every length
-    images = [m_to_n(w) for w in m_words]
+    images = [phi(w) for w in m_words]
     assert len(set(images)) == len(images)
     assert sorted(images) == sorted(n_words)
     for word, image in zip(m_words, images):
         assert len(image) == len(word)
-        assert n_to_m(image) == word
-        assert TAG_PARTNERS[classify_m(word).kind] == classify_n(image).kind
+        assert oracles.phi_inverse(image) == word
+        assert TAG_PARTNERS[oracles.m_kind(word)] == oracles.n_kind(image)
     for word in n_words:
-        assert m_to_n(n_to_m(word)) == word
+        assert phi(oracles.phi_inverse(word)) == word
 
 
 def test_cardinalities_match_at_every_length(sys_m, sys_n):
@@ -196,17 +155,16 @@ def test_enumeration_requires_certificate(sys_m):
 
 @given(st.text(alphabet="ab", max_size=30))
 def test_roundtrip_on_arbitrary_reduced_words(word):
-    from cayleyforge import system_m
-
     nf = normal_form(system_m(), word)
-    image = m_to_n(nf)
+    image = phi(nf)
+    assert M_NORMAL_FORM.fullmatch(nf)
+    assert N_NORMAL_FORM.fullmatch(image)
+    assert is_irreducible(system_n(), image)
     assert len(image) == len(nf)
-    assert n_to_m(image) == nf
+    assert oracles.phi_inverse(image) == nf
 
 
 @given(st.text(alphabet="cd", max_size=30))
 def test_roundtrip_from_the_other_side(word):
-    from cayleyforge import system_n
-
     nf = normal_form(system_n(), word)
-    assert m_to_n(n_to_m(nf)) == nf
+    assert phi(oracles.phi_inverse(nf)) == nf

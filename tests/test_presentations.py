@@ -191,6 +191,17 @@ def _error_case(text, message, short):
                     "empty left-hand side"),
         _error_case("alphabet a b\nrule a b a", "line 2: a rule needs exactly one '->'",
                     "exactly one '->'"),
+        # lines end only at CR LF, CR or LF: a form feed separates tokens,
+        # and a comment runs on past U+2028
+        _error_case("alphabet a b\nrule a\fx -> a",
+                    "line 2: symbol 'x' is not in the alphabet {a, b}", "form feed"),
+        _error_case("alphabet a b\n# a comment\u2028here\nrule a x -> a",
+                    "line 3: symbol 'x' is not in the alphabet {a, b}",
+                    "line separator"),
+        _error_case("alphabet a b\r\n# a comment\r\nrule a x -> a\r\n",
+                    "line 3: symbol 'x' is not in the alphabet {a, b}", "CRLF"),
+        _error_case("alphabet a b\r# a comment\rrule a x -> a\r",
+                    "line 3: symbol 'x' is not in the alphabet {a, b}", "CR"),
     ],
 )
 def test_parse_errors(text, message):
