@@ -28,7 +28,6 @@ from .isomorphism import (
     SearchResult,
     SeparationReport,
     find_isomorphism,
-    report_json,
     separate_left_graphs,
     validate_certificate,
     verify_explicit_iso,

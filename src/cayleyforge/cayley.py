@@ -40,9 +40,6 @@ class CayleyBall:
     edges: tuple[tuple[int, int, str], ...]
     frontier: tuple[tuple[int, str, Word], ...] = ()
 
-    def vertex_index(self) -> dict[Word, int]:
-        return {w: i for i, w in enumerate(self.vertices)}
-
     @cached_property
     def _digraph(self) -> UnlabelledDigraph:
         """See :func:`strip_labels`."""

@@ -24,7 +24,6 @@ from .confluence import (
 )
 from .isomorphism import (
     find_isomorphism,
-    report_json,
     separate_left_graphs,
     verify_explicit_iso,
 )
@@ -173,14 +172,19 @@ def cmd_verify_iso(args: argparse.Namespace) -> int:
     ok = report.verified and search.status == "isomorphic"
 
     if args.format == "json":
+        found = search.certificate.mapping if search.certificate else None
         print(
             json.dumps(
                 {
                     "radius": args.radius,
                     "vertices": g_m.n,
                     "arcs": len(g_m.arcs),
-                    "explicit": json.loads(report_json(report)),
-                    "search": json.loads(report_json(search)),
+                    "explicit": {
+                        "status": report.status,
+                        "mapping": report.mapping,
+                        "witness": report.witness,
+                    },
+                    "search": {"status": search.status, "mapping": found, "witness": None},
                 },
                 ensure_ascii=False,
             )

@@ -12,18 +12,9 @@ fixed before the search, and
 validates any certificate it returns with the same
 ``validate_certificate``.  Refinement and search read the neighbour
 lists ``out``/``inc`` that each
-:class:`~cayleyforge.cayley.UnlabelledDigraph` builds once.
-
-The search works only where refinement left a choice.  A class with one
-vertex in each graph is a forced pair, mapped up front at one expansion
-each (a budget smaller than their number reports ``budget + 1``, as any
-exhausted search does).  Forced pairs need no arc check: the partition
-is equitable, so x and x' of one class have as many arcs to the class
-{y, y'} and from it, and those arcs all meet y on one side and y' on the
-other.  A vertex with a mapped neighbour u takes as candidates only the
-vertices of its class joined to u's image as it is joined to u; every
-other member lacks that arc, so the arc check would reject it, and the
-search finds the same isomorphism with fewer expansions.
+:class:`~cayleyforge.cayley.UnlabelledDigraph` builds once, and the
+search reads its forced pairs, class sizes and candidates from the
+classes refinement ends with.
 
 ``separate_left_graphs`` uses both to locate the smallest ball radius at
 which the left Cayley graphs of two systems can be told apart.
@@ -32,8 +23,6 @@ which the left Cayley graphs of two systems can be told apart.
 from __future__ import annotations
 
 import heapq
-import json
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -132,7 +121,7 @@ def verify_explicit_iso(ball_m: CayleyBall, ball_n: CayleyBall) -> IsoReport:
             f"vertex counts differ: {n_vertices} vs {len(ball_n.vertices)}",
             n_vertices,
         )
-    index_n = ball_n.vertex_index()
+    index_n = {w: i for i, w in enumerate(ball_n.vertices)}
     mapping: list[int] = []
     for word in ball_m.vertices:
         image = phi(word)
@@ -160,28 +149,9 @@ class SearchResult:
     expansions: int
 
 
-def report_json(report: IsoReport | SearchResult) -> str:
-    """Serialize a verification report or search result as
-    ``{"status", "mapping", "witness"}``."""
-    if isinstance(report, IsoReport):
-        payload = {
-            "status": report.status,
-            "mapping": list(report.mapping) if report.mapping is not None else None,
-            "witness": list(report.witness) if report.witness is not None else None,
-        }
-    else:
-        mapping = (
-            list(report.certificate.mapping)
-            if report.certificate is not None
-            else None
-        )
-        payload = {"status": report.status, "mapping": mapping, "witness": None}
-    return json.dumps(payload, ensure_ascii=False)
-
-
 def _refine_colors(
     g1: UnlabelledDigraph, g2: UnlabelledDigraph
-) -> tuple[list[int], list[int], Counter | None]:
+) -> tuple[list[int], list[int], list[list[int]] | None]:
     """Counting color refinement of the disjoint union of two graphs,
     read in place from their neighbour lists; vertex ``v`` of ``g2`` is
     ``g1.n + v`` in the union.
@@ -216,9 +186,10 @@ def _refine_colors(
     vertices where taking the last queued class first counts 1.70 million.
 
     Colors are comparable across the two graphs.  Returns the stable
-    colorings and, if their histograms agree (a necessary condition for
-    isomorphism), the number of vertices of each color in either graph;
-    otherwise None.
+    colorings and, if every class has as many vertices in each graph (a
+    necessary condition for isomorphism), the members of each class in
+    ``g2`` in increasing index; otherwise None.  Graphs with different
+    numbers of vertices or arcs already differ in their degree classes.
     """
     n1 = g1.n
     out1, inc1, out2, inc2 = g1.out, g1.inc, g2.out, g2.inc
@@ -229,7 +200,7 @@ def _refine_colors(
         for v, (heads, tails) in enumerate(zip(g.out, g.inc))
     ]
     if not colors:
-        return [], [], Counter()
+        return [], [], []
     # The vertices, class by class: class c is order[start[c]:end[c]],
     # and vertex x sits at order[where[x]].
     order = sorted(range(len(colors)), key=colors.__getitem__)
@@ -302,8 +273,12 @@ def _refine_colors(
                 queued[k] = True
                 heapq.heappush(queue, (end[k] - start[k], k))
     colors1, colors2 = colors[:n1], colors[n1:]
-    sizes = Counter(colors1)
-    return colors1, colors2, sizes if sizes == Counter(colors2) else None
+    members2: list[list[int]] = [[] for _ in end]
+    for w, c in enumerate(colors2):
+        members2[c].append(w)
+    if any(2 * len(m) != e - s for m, s, e in zip(members2, start, end)):
+        return colors1, colors2, None
+    return colors1, colors2, members2
 
 
 def find_isomorphism(
@@ -312,7 +287,11 @@ def find_isomorphism(
     """Search for any isomorphism between two unlabelled digraphs.
 
     Every isomorphism maps each vertex to one of the same stable color
-    (the search refines both graphs together).  A class with exactly one
+    (the search refines both graphs together), and the search reads its
+    forced pairs, class sizes and whole-class candidates from the classes
+    refinement returns.  Graphs with different numbers of vertices or
+    arcs, whose degree classes differ, and two empty graphs are decided
+    there, with no expansion.  A class with exactly one
     vertex in each graph is a forced pair, and all forced pairs are
     mapped first, with no arc check among them: the partition is
     equitable, so the arcs from x to the class {y, y'} all end at y,
@@ -350,19 +329,13 @@ def find_isomorphism(
     ones chosen before it, so the whole order is fixed before the search
     by one pass over a heap.
     """
-    if g1.n != g2.n or len(g1.arcs) != len(g2.arcs):
-        return SearchResult("non_isomorphic", None, 0)
-    if g1.n == 0:
-        return SearchResult("isomorphic", IsoCertificate(()), 0)
     out1, in1, out2, in2 = g1.out, g1.inc, g2.out, g2.inc
-    colors1, colors2, class_size = _refine_colors(g1, g2)
-    if class_size is None:
+    colors1, colors2, members2 = _refine_colors(g1, g2)
+    if members2 is None:
         return SearchResult("non_isomorphic", None, 0)
 
     n = g1.n
-    # The last vertex of each color in g2: a forced color's only one.
-    last2 = dict(zip(colors2, range(n)))
-    mapping = [last2[c] if class_size[c] == 1 else -1 for c in colors1]
+    mapping = [members2[c][0] if len(members2[c]) == 1 else -1 for c in colors1]
     expansions = n - mapping.count(-1)
     if expansions > budget:
         return SearchResult("budget_exhausted", None, budget + 1)
@@ -375,7 +348,7 @@ def find_isomorphism(
     # arcs it has from and to the vertices the search places before it.
     placed = [image >= 0 for image in mapping]
     heap = [
-        (not any(map(placed.__getitem__, out1[v] + in1[v])), class_size[colors1[v]], v)
+        (not any(map(placed.__getitem__, out1[v] + in1[v])), len(members2[colors1[v]]), v)
         for v, image in enumerate(mapping)
         if image < 0
     ]
@@ -393,7 +366,7 @@ def find_isomorphism(
             count = 0
             for u in nbrs:
                 if not placed[u]:
-                    heapq.heappush(heap, (0, class_size[colors1[u]], u))
+                    heapq.heappush(heap, (0, len(members2[colors1[u]]), u))
                     continue
                 if anchor is None:
                     anchor = (u, rows2)
@@ -405,7 +378,6 @@ def find_isomorphism(
         earlier.append(arcs_back)
 
     inverse = [-1] * n  # of the vertices the search maps, not the forced
-    members2: dict[int, list[int]] = {}
 
     def candidates(depth: int) -> Iterator[int]:
         color = colors1[order[depth]]
@@ -413,9 +385,6 @@ def find_isomorphism(
         if anchor is not None:
             u, rows2 = anchor
             return iter(sorted({w for w in rows2[mapping[u]] if colors2[w] == color}))
-        if not members2:
-            for w, c in enumerate(colors2):
-                members2.setdefault(c, []).append(w)
         return iter(members2[color])
 
     # The arcs of v2 to and from vertices the search mapped must match

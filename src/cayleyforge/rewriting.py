@@ -139,14 +139,19 @@ class RuleSchema:
             raise ValueError(f"rule {self} is not length-reducing")
 
     def instance(self, exponent: int) -> RewriteRule:
-        """The concrete rule at a fixed exponent."""
+        """The concrete rule at a fixed exponent; a ValueError if its left
+        side is too long to build."""
         if exponent < self.min_exponent:
             raise ValueError(
                 f"exponent {exponent} below schema minimum {self.min_exponent}"
             )
-        return RewriteRule(
-            self.prefix + self.pumped * exponent + self.suffix, self.rhs
-        )
+        try:
+            lhs = self.prefix + self.pumped * exponent + self.suffix
+        except (OverflowError, MemoryError):
+            raise ValueError(
+                f"schema {self} is too long to instantiate at exponent {exponent}"
+            ) from None
+        return RewriteRule(lhs, self.rhs)
 
     def __str__(self) -> str:
         head = f"{self.prefix}{self.pumped}{{n}}{self.suffix}"

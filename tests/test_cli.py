@@ -192,6 +192,20 @@ def test_undecodable_presentation_names_the_path(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["ball", "confluence"])
+def test_schema_too_long_to_instantiate_is_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "huge.txt"
+    bound = "99999999999999999999"
+    path.write_text(f"alphabet a b\nrule a b{{n}} -> a where n >= {bound}\n", encoding="utf-8")
+    argv = ["-p", str(path), "--schema-bound", bound]
+    if command == "ball":
+        argv += ["--radius", "2"]
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: schema ab{n} -> a")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("relative", ["missing/x.dot", "."])
 def test_ball_unwritable_output_is_usage_error(capsys, tmp_path, relative):
     target = tmp_path / relative
@@ -299,9 +313,17 @@ def test_verify_iso_json(capsys):
     code, out, _ = run(capsys, "verify-iso", "--radius", "3", "--format", "json")
     assert code == 0
     payload = json.loads(out)
+    for part in ("explicit", "search"):
+        assert list(payload[part]) == ["status", "mapping", "witness"]
+        assert payload[part]["witness"] is None
     assert payload["explicit"]["status"] == "verified"
     assert payload["search"]["status"] == "isomorphic"
     assert sorted(payload["explicit"]["mapping"]) == list(range(15))
+    code, out, _ = run(capsys, "verify-iso", "--radius", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["search"] == {
+        "status": "isomorphic", "mapping": [0], "witness": None,
+    }
 
 
 def test_verify_iso_exhausted_budget_names_its_unit(capsys, monkeypatch):
