@@ -10,14 +10,24 @@ target that reduces back inside the ball becomes an edge; a target
 outside is either dropped (``closed``) or recorded (``with_frontier``).
 The ball is built from the system's left-side automaton and reduces no
 word.
+
+A ball stores its vertices and one transition table, with one entry per
+vertex and generator, and nothing per arc: ``edges`` and ``frontier``
+are read-only views derived from the table.  Its digraph, built once by
+:func:`strip_labels`, stores each vertex's heads and tails as tuples,
+plus the sorted arc pairs that :func:`~cayleyforge.isomorphism.
+validate_certificate` compares.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, compress, cycle, repeat
+from operator import gt, le
 
 from .normal_forms import enumerate_normal_forms
 from .rewriting import (
@@ -33,17 +43,108 @@ POLICIES = ("closed", "with_frontier")
 
 @dataclass(frozen=True)
 class CayleyBall:
+    """A ball as its vertices and one transition table, and nothing per
+    arc.
+
+    ``targets[v * len(alphabet) + i]`` is the vertex that generator
+    ``alphabet[i]`` leads to from vertex ``v``, or -1 when the product
+    lies outside the ball.  ``edges`` and ``frontier`` are read-only
+    :class:`TableView` sequences derived from the table on each read.
+    """
+
     side: str
     radius: int
     policy: str
     vertices: tuple[Word, ...]
-    edges: tuple[tuple[int, int, str], ...]
-    frontier: tuple[tuple[int, str, Word], ...] = ()
+    alphabet: tuple[str, ...]
+    targets: tuple[int, ...]
+
+    @property
+    def edges(self) -> TableView:
+        """``(src, dst, g)`` for each table entry inside the ball, by
+        source vertex, then by generator in alphabet order."""
+        return TableView(self, frontier=False)
+
+    @property
+    def frontier(self) -> TableView:
+        """``(src, g, target word)`` for each table entry outside the
+        ball, in the same order; empty under the ``closed`` policy."""
+        return TableView(self, frontier=True)
 
     @cached_property
     def _digraph(self) -> UnlabelledDigraph:
         """See :func:`strip_labels`."""
-        return UnlabelledDigraph(len(self.vertices), [(s, d) for s, d, _ in self.edges])
+        targets, width = self.targets, len(self.alphabet)
+        if not width:
+            return UnlabelledDigraph(len(self.vertices), ())
+        # The rows before the first -1 entry (a product outside the ball)
+        # have no entry to drop; in a built ball they are all the rows
+        # but the rim, which comes last in shortlex order.  Each is taken
+        # as zip makes it, and sorted only if an entry exceeds the next.
+        inside = targets.index(-1) // width if -1 in targets else len(self.vertices)
+        end = inside * width
+        columns = [targets[i:end:width] for i in range(width)]
+        heads: list[tuple[int, ...]] = list(zip(*columns))
+        descents = [map(gt, a, b) for a, b in zip(columns, columns[1:])]
+        for v in compress(range(inside), map(any, zip(*descents))):
+            heads[v] = tuple(sorted(heads[v]))
+        # Each later row is sorted, so that its -1 entries lead and are
+        # cut off.
+        keep = heads.append
+        for row in map(sorted, zip(*[targets[end + i :: width] for i in range(width)])):
+            if row[0] < 0:
+                del row[: row.count(-1)]
+            keep(tuple(row))
+        return UnlabelledDigraph._from_rows(heads)
+
+
+class TableView:
+    """A read-only sequence of a ball's edges, or of its frontier
+    targets, derived from the ball's table on each read.  Its length is
+    a count of table entries, its items are made as they are iterated,
+    and it equals the tuple of its items.  Indexing and slicing build
+    that tuple first."""
+
+    __slots__ = ("_ball", "_frontier")
+
+    def __init__(self, ball: CayleyBall, frontier: bool) -> None:
+        self._ball, self._frontier = ball, frontier
+
+    def __len__(self) -> int:
+        ball = self._ball
+        outside = ball.targets.count(-1)
+        if not self._frontier:
+            return len(ball.targets) - outside
+        return outside if ball.policy == "with_frontier" else 0
+
+    def __iter__(self) -> Iterator[tuple]:
+        ball = self._ball
+        targets, letters, words = ball.targets, ball.alphabet, ball.vertices
+        # (source, target, generator) for each table entry, in table
+        # order: each source repeats once per letter.
+        sources = chain.from_iterable(zip(*[range(len(words))] * len(letters)))
+        entries = zip(sources, targets, cycle(letters))
+        if not self._frontier:
+            return compress(entries, map(le, repeat(0), targets))
+        if ball.policy != "with_frontier":
+            return iter(())
+        outside = compress(entries, map(gt, repeat(0), targets))
+        if ball.side == "right":
+            return ((src, g, words[src] + g) for src, _, g in outside)
+        return ((src, g, g + words[src]) for src, _, g in outside)
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TableView):
+            other = tuple(other)
+        return tuple(self) == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -51,35 +152,64 @@ class UnlabelledDigraph:
     """Arc multiset on vertices 0..n-1; loops and parallel arcs allowed.
 
     ``arcs`` is stored sorted, so equality follows the multiset.
-    ``out[v]`` and ``inc[v]`` list the heads of the arcs leaving ``v``
-    and the tails of the arcs entering it, with multiplicity and in arc
-    order.  They are built once with the digraph, take no part in its
-    construction, comparison, hash or repr, and must not be mutated.
+    ``out[v]`` and ``inc[v]`` are tuples of the heads of the arcs
+    leaving ``v`` and of the tails of the arcs entering it, with
+    multiplicity and in increasing order.  They are built once with the
+    digraph and take no part in its comparison, hash or repr.
     """
 
     n: int
     arcs: tuple[tuple[int, int], ...]
-    out: list[list[int]] = field(init=False, repr=False, compare=False)
-    inc: list[list[int]] = field(init=False, repr=False, compare=False)
+    out: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    inc: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count n={self.n} is negative")
-        object.__setattr__(self, "arcs", tuple(sorted(self.arcs)))
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        try:
-            for src, dst in self.arcs:
-                if src < 0 or dst < 0:
-                    raise IndexError
-                out[src].append(dst)
-                inc[dst].append(src)
-        except IndexError:
-            raise ValueError(
-                f"arc ({src}, {dst}) out of range for n={self.n}"
-            ) from None
-        object.__setattr__(self, "out", out)
-        object.__setattr__(self, "inc", inc)
+        n = self.n
+        if n < 0:
+            raise ValueError(f"vertex count n={n} is negative")
+        arcs = tuple(sorted(self.arcs))
+        heads: list[list[int]] = [[] for _ in range(n)]
+        for src, dst in arcs:
+            if not (0 <= src < n and 0 <= dst < n):
+                raise ValueError(f"arc ({src}, {dst}) out of range for n={n}")
+            heads[src].append(dst)
+        self._set_rows(arcs, heads)
+
+    @classmethod
+    def _from_rows(cls, heads: list[tuple[int, ...]]) -> UnlabelledDigraph:
+        """The digraph with arcs from each vertex ``v`` to ``heads[v]``,
+        given in increasing order.  The arcs are read off the rows in
+        sorted order, so nothing is sorted."""
+        graph = object.__new__(cls)
+        arcs = tuple([(src, dst) for src, row in enumerate(heads) for dst in row])
+        graph._set_rows(arcs, heads)
+        return graph
+
+    def _set_rows(self, arcs: tuple[tuple[int, int], ...], heads: list) -> None:
+        """Store the sorted ``arcs``, their heads by tail as ``out`` and
+        their tails by head as ``inc``, each row a tuple.  Tails are met
+        in arc order, so each row of ``inc`` is increasing.  A head's
+        first tail goes into one flat list and only its later tails into
+        a list of their own, so a vertex entered at most once costs no
+        list."""
+        first = [-1] * len(heads)
+        later: dict[int, list[int]] = {}
+        for src, dst in arcs:
+            if first[dst] < 0:
+                first[dst] = src
+            elif dst in later:
+                later[dst].append(src)
+            else:
+                later[dst] = [src]
+        tails = list(zip(first))
+        for dst in compress(range(len(first)), map(gt, repeat(0), first)):
+            tails[dst] = ()
+        for dst, rest in later.items():
+            tails[dst] = (first[dst], *rest)
+        object.__setattr__(self, "n", len(heads))
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "out", tuple(map(tuple, heads)))
+        object.__setattr__(self, "inc", tuple(tails))
 
 
 def build_ball(
@@ -87,8 +217,9 @@ def build_ball(
 ) -> CayleyBall:
     """Construct the ball of the given radius around the identity.
 
-    Needs a certified system.  Edges and frontier targets are listed by
-    source vertex, then by generator in alphabet order.
+    Needs a certified system.  The ball stores one table entry per
+    vertex and generator, the target vertex or -1; its edges and
+    frontier targets are read from the table (see :class:`CayleyBall`).
 
     No word is reduced.  The automaton of the side reads each vertex
     ``v`` in the direction its products grow: ``system.automaton``
@@ -148,16 +279,14 @@ def build_ball(
     ending: list[list[int]] = [[] for _ in system.alphabet]
     for i, r in enumerate(reads[1:], 1):
         ending[automaton.symbol_ids[r[-1]]].append(i)
-    met = [iter(ids) for ids in ending]
+    met = [iter(ids).__next__ for ids in ending]
     states = [automaton.start] * len(reads)
     met_from = [0] * len(reads)
     width = len(system.alphabet)
     letters = tuple(enumerate(system.alphabet))
     step, match_length, rhs_ids = automaton.step, automaton.match_length, automaton.rhs_ids
-    keep_frontier = policy == "with_frontier"
     targets: list[int] = []  # targets[src * width + symbol]; -1 outside the ball
-    edges: list[tuple[int, int, str]] = []
-    frontier: list[tuple[int, str, Word]] = []
+    put = targets.append
     for src, r in enumerate(reads):
         state = states[src]
         known = state.next
@@ -167,11 +296,9 @@ def build_ball(
             rule = nxt.rule
             if rule is None:
                 if on_rim:
-                    targets.append(-1)
-                    if keep_frontier:
-                        frontier.append((src, g, r + g if right else g + r[::-1]))
+                    put(-1)
                     continue
-                dst = next(met[symbol])
+                dst = met[symbol]()
                 states[dst] = nxt
                 met_from[dst] = src
             else:
@@ -180,10 +307,9 @@ def build_ball(
                     dst = met_from[dst]
                 for h in rhs_ids[rule]:
                     dst = targets[dst * width + h]
-            targets.append(dst)
-            edges.append((src, dst, g))
+            put(dst)
     return CayleyBall(
-        side, radius, policy, tuple(vertices), tuple(edges), tuple(frontier)
+        side, radius, policy, tuple(vertices), system.alphabet, tuple(targets)
     )
 
 
@@ -227,17 +353,16 @@ def graph_invariants(g: UnlabelledDigraph) -> Fingerprint:
     and each is written out as pairs, as often as it was counted.  Their
     own pairs, in that order, are the sorted degree pairs.
     """
-    degree = list(zip(map(len, g.inc), map(len, g.out)))
-    pairs = sorted(set(degree))
-    code = list(map({p: c for c, p in enumerate(pairs)}.__getitem__, degree))
+    pairs = sorted(set(zip(map(len, g.inc), map(len, g.out))))
+    rank = {p: c for c, p in enumerate(pairs)}
+    code = list(map(rank.__getitem__, zip(map(len, g.inc), map(len, g.out))))
     code_at = code.__getitem__
-    seen = Counter(
-        zip(
-            code,
-            [tuple(map(code_at, heads)) for heads in g.out],
-            [tuple(map(code_at, tails)) for tails in g.inc],
-        )
-    )
+
+    def coded(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, ...]]:
+        return map(tuple, map(map, repeat(code_at), rows))
+
+    # Each vertex's key is made as the Counter reads it.
+    seen = Counter(zip(code, coded(g.out), coded(g.inc)))
     profiles: Counter = Counter()
     for (c, heads, tails), count in seen.items():
         profiles[c, tuple(sorted(heads)), tuple(sorted(tails))] += count

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success or property verified, 1 a checked property failed,
-2 usage or presentation errors, or an output file or stdout that cannot
-be written, 3 an internal error (a bug, reported without a traceback).
+2 usage or presentation errors, an output file or stdout that cannot be
+written, or a computation too large for the memory available, 3 an
+internal error (a bug, reported without a traceback).  Codes 2 and 3
+come with one ``error:`` or ``internal error:`` line on stderr.
 All output is deterministic.
 """
 
@@ -331,9 +333,18 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        # Leaving the handler frees what the failed command held, so the
+        # message below needs no memory that it could not get.
+        pass
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ at a time, in O((n + m) log n)) plus backtracking in a vertex order
 fixed before the search, and
 validates any certificate it returns with the same
 ``validate_certificate``.  Refinement and search read the neighbour
-lists ``out``/``inc`` that each
+rows ``out``/``inc`` that each
 :class:`~cayleyforge.cayley.UnlabelledDigraph` builds once, and the
 search reads its forced pairs, class sizes and candidates from the
 classes refinement ends with.
@@ -129,12 +129,12 @@ def verify_explicit_iso(ball_m: CayleyBall, ball_n: CayleyBall) -> IsoReport:
             detail = f"{word!r} maps to {image!r}, not a ball vertex"
             return _counterexample("vertex-map", detail, n_vertices)
         mapping.append(index_n[image])
-    defect = validate_certificate(
-        strip_labels(ball_m), strip_labels(ball_n), tuple(mapping)
-    )
+    del index_n  # freed before the balls are stripped
+    g_m, g_n = strip_labels(ball_m), strip_labels(ball_n)
+    defect = validate_certificate(g_m, g_n, tuple(mapping))
     if defect is not None:
         return _counterexample("arcs", defect, n_vertices)
-    arcs_checked = len(ball_m.edges) + len(ball_n.edges)
+    arcs_checked = len(g_m.arcs) + len(g_n.arcs)
     return IsoReport("verified", tuple(mapping), None, arcs_checked, n_vertices)
 
 
@@ -153,7 +153,7 @@ def _refine_colors(
     g1: UnlabelledDigraph, g2: UnlabelledDigraph
 ) -> tuple[list[int], list[int], list[list[int]] | None]:
     """Counting color refinement of the disjoint union of two graphs,
-    read in place from their neighbour lists; vertex ``v`` of ``g2`` is
+    read in place from their neighbour rows; vertex ``v`` of ``g2`` is
     ``g1.n + v`` in the union.
 
     Starts from the coloring by (in-degree, out-degree, loops) and ends
@@ -272,6 +272,7 @@ def _refine_colors(
             for k in new:
                 queued[k] = True
                 heapq.heappush(queue, (end[k] - start[k], k))
+    del order, where  # the largest lists, freed before the classes are listed
     colors1, colors2 = colors[:n1], colors[n1:]
     members2: list[list[int]] = [[] for _ in end]
     for w, c in enumerate(colors2):
@@ -303,7 +304,7 @@ def find_isomorphism(
     The other vertices are mapped by backtracking: a vertex may only map
     to a vertex of the same color whose arcs to and from the vertices
     mapped so far match its own, with multiplicity, as read from the
-    digraphs' ``out``/``inc`` lists.  A vertex with a mapped neighbour
+    digraphs' ``out``/``inc`` rows.  A vertex with a mapped neighbour
     takes its candidates from that neighbour's image: the vertices of
     its color with an arc from the image if its own arc comes from the
     neighbour, to it otherwise, without repeats.  The neighbour used
@@ -437,6 +438,7 @@ def find_isomorphism(
     if order and not stack:
         return SearchResult("non_isomorphic", None, expansions)
     certificate = IsoCertificate(tuple(mapping))
+    del members2  # the classes, freed before the arc check
     defect = validate_certificate(g1, g2, certificate.mapping)
     if defect is not None:
         raise RuntimeError(f"search produced an invalid certificate: {defect}")

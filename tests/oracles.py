@@ -225,6 +225,18 @@ def strip_by_hand(vertices, edges):
     return len(vertices), sorted((src, dst) for src, dst, _ in edges)
 
 
+def rows_by_hand(n, arcs):
+    """``(out, inc)`` of a digraph given as ``(n, arcs)``: for each
+    vertex, the heads of the arcs leaving it and the tails of the arcs
+    entering it, with multiplicity and in increasing order."""
+    out = [[] for _ in range(n)]
+    inc = [[] for _ in range(n)]
+    for src, dst in sorted(arcs):
+        out[src].append(dst)
+        inc[dst].append(src)
+    return tuple(map(tuple, out)), tuple(map(tuple, inc))
+
+
 def fingerprint_by_hand(n, arcs):
     """``(vertex count, arc count, degree pairs, neighbour profiles)`` of
     a digraph given as ``(n, arcs)``, by sorting every vertex's entry.

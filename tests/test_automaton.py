@@ -14,6 +14,7 @@ from cayleyforge import (
     enumerate_normal_forms,
     first_match,
     parse_presentation,
+    strip_labels,
     system_m,
     system_n,
 )
@@ -56,6 +57,7 @@ def _no_prefix_names_a_rule(system, w):
     return True
 
 
+@settings(deadline=None)
 @given(systems(), st.data())
 def test_irreducibility_agrees_with_first_match(system, data):
     """A word is irreducible exactly when no prefix's state names a
@@ -67,6 +69,7 @@ def test_irreducibility_agrees_with_first_match(system, data):
         assert _no_prefix_names_a_rule(system.mirror, w[::-1]) == expected
 
 
+@settings(deadline=None)
 @given(systems(), st.data())
 def test_named_rule_is_the_lowest_ending_there(system, data):
     """After each prefix of each word, the state names the lowest rule or
@@ -123,9 +126,16 @@ def test_enumeration_matches_filter_oracle(system, max_len):
     st.integers(0, RADIUS_BOUND),
 )
 def test_ball_matches_reduction_oracle(system, side, policy, radius):
+    """The ball's views, and the digraph stripped from its table,
+    against the oracle's ball; alphabets of two and three letters."""
     ball = build_ball(system, side, radius, policy)
     expected = oracles.ball_by_reduction(system, side, radius, policy)
     assert (ball.vertices, ball.edges, ball.frontier) == expected
+    assert (len(ball.edges), len(ball.frontier)) == (len(expected[1]), len(expected[2]))
+    n, arcs = oracles.strip_by_hand(expected[0], expected[1])
+    graph = strip_labels(ball)
+    assert (graph.n, list(graph.arcs)) == (n, arcs)
+    assert (graph.out, graph.inc) == oracles.rows_by_hand(n, arcs)
 
 
 def _refuse(*args, **kwargs):

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from collections import Counter, deque
 
 import pytest
@@ -154,8 +155,10 @@ def test_strip_labels_keeps_multiplicity():
         radius=1,
         policy="closed",
         vertices=("", "a"),
-        edges=((0, 1, "a"), (0, 1, "b")),
+        alphabet=("a", "b"),
+        targets=(1, 1, -1, -1),
     )
+    assert ball.edges == ((0, 1, "a"), (0, 1, "b"))
     graph = strip_labels(ball)
     assert graph.n == 2
     assert Counter(graph.arcs) == Counter({(0, 1): 2})
@@ -201,8 +204,8 @@ def test_digraph_rejects_out_of_range_arcs():
 def test_digraph_adjacency_follows_the_arcs():
     arcs = ((0, 0), (0, 1), (2, 1), (0, 1), (1, 0), (0, 0))
     g = UnlabelledDigraph(3, arcs)
-    assert g.out == [[0, 0, 1, 1], [0], [1]]
-    assert g.inc == [[0, 0, 1], [0, 0, 2], []]
+    assert g.out == ((0, 0, 1, 1), (0,), (1,))
+    assert g.inc == ((0, 0, 1), (0, 0, 2), ())
     for v in range(g.n):
         assert Counter(g.out[v]) == Counter(d for s, d in arcs if s == v)
         assert Counter(g.inc[v]) == Counter(s for s, d in arcs if d == v)
@@ -216,6 +219,27 @@ def test_digraph_equality_follows_the_arc_multiset():
     assert repr(first) == repr(second)
     assert repr(first) == "UnlabelledDigraph(n=2, arcs=((0, 1), (1, 0), (1, 0)))"
     assert first != UnlabelledDigraph(2, ((1, 0), (0, 1)))
+
+
+# tracemalloc peak of building, stripping and fingerprinting N's left
+# ball of radius 14 (6 625 vertices), per vertex: 398-407 bytes on
+# Python 3.10-3.13 with a table per ball and tuple rows, 753-777 bytes
+# when the ball kept a tuple per edge and the digraph sorted a list of
+# pairs and grew a list per vertex in each direction.
+MAX_PEAK_BYTES_PER_VERTEX = 550
+
+
+def test_ball_strip_and_fingerprint_memory_per_vertex(sys_n):
+    build_ball(sys_n, "left", 2, "with_frontier")  # the automaton, built once
+    tracemalloc.start()
+    try:
+        ball = build_ball(sys_n, "left", 14, "with_frontier")
+        graph_invariants(strip_labels(ball))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ball.vertices) == 6625
+    assert peak / len(ball.vertices) <= MAX_PEAK_BYTES_PER_VERTEX
 
 
 def test_strip_labels_is_built_once_per_ball(sys_m):
@@ -299,15 +323,33 @@ def labelled_arcs(draw, max_vertices=8):
     return n, draw(st.lists(arc, max_size=3 * n))
 
 
-def _labelled_ball(n, edges):
-    return CayleyBall("right", 0, "closed", tuple(str(v) for v in range(n)), tuple(edges))
+@st.composite
+def tables(draw, max_vertices=8):
+    """A vertex count, an alphabet of up to three letters and a table
+    with one entry per vertex and letter: a vertex, or -1 for none.
+    Loops and parallel arcs arise, rows need not be sorted."""
+    n = draw(st.integers(0, max_vertices))
+    alphabet = tuple("abc"[: draw(st.integers(0, 3))])
+    entry = st.integers(-1, n - 1)
+    size = n * len(alphabet)
+    return n, alphabet, tuple(draw(st.lists(entry, min_size=size, max_size=size)))
 
 
-@given(labelled_arcs())
+@given(tables())
 def test_strip_labels_matches_the_oracle(drawn):
-    n, edges = drawn
-    graph = strip_labels(_labelled_ball(n, edges))
-    assert (graph.n, list(graph.arcs)) == oracles.strip_by_hand(range(n), edges)
+    n, alphabet, targets = drawn
+    width = len(alphabet)
+    edges = [
+        (i // width, dst, alphabet[i % width])
+        for i, dst in enumerate(targets)
+        if dst >= 0
+    ]
+    ball = CayleyBall("right", 0, "closed", tuple(map(str, range(n))), alphabet, targets)
+    assert ball.edges == tuple(edges) and len(ball.edges) == len(edges)
+    graph = strip_labels(ball)
+    expected_n, arcs = oracles.strip_by_hand(range(n), edges)
+    assert (graph.n, list(graph.arcs)) == (expected_n, arcs)
+    assert (graph.out, graph.inc) == oracles.rows_by_hand(n, arcs)
 
 
 @given(labelled_arcs())

@@ -348,6 +348,26 @@ def test_internal_error_exits_three_without_traceback(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "exc, code, message",
+    [
+        (MemoryError(), 2, "error: out of memory\n"),
+        (KeyError("x"), 3, "internal error: KeyError: 'x'\n"),
+    ],
+)
+def test_unexpected_exceptions_exit_with_one_line(capsys, monkeypatch, exc, code, message):
+    """Running out of memory is a usage error (exit 2), any other
+    unexpected exception an internal one (exit 3); neither prints a
+    traceback or half an output."""
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "build_ball", broken)
+    for argv in (("verify-iso", "--radius", "2"), ("ball", "-p", "builtin:M", "--radius", "2")):
+        assert run(capsys, *argv) == (code, "", message)
+
+
 def test_truncation_test(capsys):
     for n0 in (2, 5):
         code, out, _ = run(capsys, "truncation-test", "--n0", str(n0))

@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cayleyforge import (
     NotConfluentError,
@@ -118,6 +118,7 @@ def _as_tuples(pairs):
     return [(p.source, p.left_result, p.right_result, p.kind) for p in pairs]
 
 
+@settings(deadline=None)
 @given(systems(), st.integers(3, 6))
 def test_pairs_come_in_the_slicing_order(system, bound):
     """Trying only the overlaps where ``u`` holds ``z``'s first letter
@@ -132,6 +133,7 @@ def test_m_pairs_come_in_the_slicing_order(sys_m, bound):
     assert _as_tuples(critical_pairs(sys_m, bound)) == expected
 
 
+@settings(deadline=None)
 @given(systems())
 def test_certify_stops_at_the_first_pair_that_does_not_join(system):
     """``certify`` accepts exactly what the full check passes; when it

@@ -1,6 +1,7 @@
 """Explicit-map verification, the independent search, and left-ball
 separation."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -67,10 +68,25 @@ def test_verify_maps_concrete_edge(sys_m, sys_n):
     }
 
 
+def _reload(text, alphabet):
+    """A closed ball read back from its JSON export: the table is filled
+    in from the edge list, the rest taken as it was written."""
+    payload = json.loads(text)
+    width = len(alphabet)
+    targets = [-1] * (width * len(payload["vertices"]))
+    for src, dst, g in payload["edges"]:
+        targets[src * width + alphabet.index(g)] = dst
+    return CayleyBall(
+        payload["side"], payload["radius"], payload["policy"],
+        tuple(payload["vertices"]), alphabet, tuple(targets),
+    )
+
+
 def test_verify_accepts_json_loaded_balls(sys_m, sys_n):
     ball_m, ball_n = _right_balls(sys_m, sys_n, 3)
-    reloaded_m = CayleyBall(**json.loads(export_json(ball_m)))
-    reloaded_n = CayleyBall(**json.loads(export_json(ball_n)))
+    reloaded_m = _reload(export_json(ball_m), sys_m.alphabet)
+    reloaded_n = _reload(export_json(ball_n), sys_n.alphabet)
+    assert (reloaded_m, reloaded_n) == (ball_m, ball_n)
     assert verify_explicit_iso(reloaded_m, reloaded_n).verified
 
 
@@ -90,16 +106,12 @@ def test_verify_rejects_mismatched_inputs(sys_m, sys_n):
 def test_verify_detects_a_broken_pair(sys_m, sys_n):
     ball_m = build_ball(sys_m, "right", 3, "closed")
     ball_n = build_ball(sys_n, "right", 3, "closed")
-    # drop one arc from the N ball: the vertex map still holds, and the
-    # certificate check names the arc whose image has no partner
-    broken = type(ball_n)(
-        side=ball_n.side,
-        radius=ball_n.radius,
-        policy=ball_n.policy,
-        vertices=ball_n.vertices,
-        edges=ball_n.edges[1:],
-        frontier=ball_n.frontier,
-    )
+    # drop one arc from the N ball, the first edge of vertex 0: the
+    # vertex map still holds, and the certificate check names the arc
+    # whose image has no partner
+    assert ball_n.edges[0][0] == 0 and ball_n.edges[0][2] == ball_n.alphabet[0]
+    broken = dataclasses.replace(ball_n, targets=(-1,) + ball_n.targets[1:])
+    assert broken.edges == ball_n.edges[1:]
     report = verify_explicit_iso(ball_m, broken)
     assert not report.verified
     assert report.mapping is None
@@ -110,21 +122,20 @@ def test_verify_detects_a_broken_pair(sys_m, sys_n):
 
 def test_verify_detects_a_duplicated_arc(sys_m, sys_n):
     ball_m, ball_n = _right_balls(sys_m, sys_n, 3)
-    # one extra copy of an N arc: every M arc still has its image, and
-    # the certificate check names the surplus arc
-    padded = type(ball_n)(
-        side=ball_n.side,
-        radius=ball_n.radius,
-        policy=ball_n.policy,
-        vertices=ball_n.vertices,
-        edges=ball_n.edges + ball_n.edges[:1],
-        frontier=ball_n.frontier,
-    )
+    # one extra copy of an N arc, at the first vertex with one product
+    # outside the ball and one inside: every M arc still has its image,
+    # and the certificate check names the surplus arc
+    width = len(ball_n.alphabet)
+    rows = [ball_n.targets[v * width : v * width + width] for v in range(len(ball_n.vertices))]
+    src = next(v for v, row in enumerate(rows) if min(row) < 0 <= max(row))
+    dst = max(rows[src])
+    targets = list(ball_n.targets)
+    targets[src * width + rows[src].index(-1)] = dst
+    padded = dataclasses.replace(ball_n, targets=tuple(targets))
+    assert len(padded.edges) == len(ball_n.edges) + 1
     report = verify_explicit_iso(ball_m, padded)
     assert not report.verified
-    assert report.witness == (
-        "arcs", f"arc multiset mismatch at {ball_n.edges[0][:2]}"
-    )
+    assert report.witness == ("arcs", f"arc multiset mismatch at {(src, dst)}")
 
 
 def test_verify_leaves_each_ball_stripped(sys_m, sys_n):
